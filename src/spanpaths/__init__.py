@@ -5,79 +5,9 @@ independent ways and checks them against each other: as reduced alternating
 crossing words, as union-find quotients of staged pushouts, and as plain
 non-backtracking graph walks. On top of the word model it runs the
 identity-system elimination as a checked fold.
-"""
 
-from .idsys import (
-    DescentFamily,
-    Section,
-    build_family,
-    check_computation,
-    elim_section,
-    encode_decode,
-    parity_family,
-    random_family,
-    trivial_family,
-    uniqueness_check,
-    winding_family,
-    word_family,
-)
-from .oracle import Walk, compare_words_walks, nbt_walks, pi1_rank
-from .seqcolim import (
-    FinSeqDiagram,
-    QuotientSet,
-    SeqMorphism,
-    SeqZigzag,
-    compose_morphisms,
-    direct_limit,
-    half_shift,
-    identity_morphism,
-    map_of_limits,
-    shift_diagram,
-    truncate_diagram,
-    zigzag_equivalence,
-    zigzag_to_morphism,
-)
-from .span import (
-    FiniteSpan,
-    RealizedGraph,
-    SpanError,
-    Vertex,
-    component_of,
-    parse_span,
-    realize,
-    serialize_span,
-)
-from .stages import (
-    BijectionReport,
-    PushoutPi0,
-    SpanInstance,
-    StageFamily,
-    build_stages,
-    cogap_set,
-    construction_zigzag,
-    cycle_diagnostic,
-    pushout_pi0,
-    stage_diagram,
-    stage_word_bijection,
-)
-from .words import (
-    BWD,
-    FWD,
-    Step,
-    WordError,
-    all_reduced_words,
-    concat_bwd,
-    concat_fwd,
-    enumerate_words,
-    format_word,
-    is_reduced,
-    parse_word,
-    reduce_word,
-    reduce_word_rightmost,
-    stage_of,
-    transport_glue,
-    validate_word,
-    word_endpoint,
-)
+The API is the submodules (``spanpaths.words``, ``spanpaths.stages``, ...);
+the package root exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

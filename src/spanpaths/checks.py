@@ -159,19 +159,18 @@ def oracle_suite(span, max_len=8):
     failures = []
     if rank < 0:
         failures.append("negative rank %d" % rank)
-    reachable = [
-        v for v in span.vertices() if enumerate_words(span, v, max_len)
-    ]
+    words_at = {v: enumerate_words(span, v, max_len) for v in span.vertices()}
+    reachable = [v for v, words in words_at.items() if words]
     if rank == 0:
         for v in reachable:
-            n = len(enumerate_words(span, v, max_len))
+            n = len(words_at[v])
             if n != 1:
                 failures.append(
                     "rank 0 but %d words reach %s" % (n, span.vertex_label(v))
                 )
     else:
         counts = [
-            sum(len(enumerate_words(span, v, k)) for v in reachable)
+            sum(1 for v in reachable for w in words_at[v] if len(w) <= k)
             for k in range(max_len + 1)
         ]
         if any(a >= b for a, b in zip(counts, counts[1:])):

@@ -191,6 +191,21 @@ def _cmd_check(args):
     return 0 if ok else 1
 
 
+def _int_at_least(minimum):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (minimum, value))
+        return value
+
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spanpaths",
@@ -205,14 +220,14 @@ def build_parser():
 
     p = sub.add_parser("stages", help="stage table: fiber sizes, glue, cycles, word bijection")
     p.add_argument("file")
-    p.add_argument("--up-to", type=int, default=3, metavar="N")
+    p.add_argument("--up-to", type=_int_at_least(0), default=3, metavar="N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_stages)
 
     p = sub.add_parser("enumerate", help="reduced words to an endpoint, canonical order")
     p.add_argument("file")
     p.add_argument("--endpoint", required=True, metavar="V")
-    p.add_argument("--max-len", type=int, default=6, metavar="L")
+    p.add_argument("--max-len", type=_int_at_least(0), default=6, metavar="L")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -224,7 +239,7 @@ def build_parser():
 
     p = sub.add_parser("limit", help="direct limit classes of one fiber's stage diagram")
     p.add_argument("file")
-    p.add_argument("--up-to", type=int, default=3, metavar="N")
+    p.add_argument("--up-to", type=_int_at_least(0), default=3, metavar="N")
     p.add_argument("--endpoint", required=True, metavar="V")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_limit)
@@ -233,8 +248,8 @@ def build_parser():
     p.add_argument("file")
     p.add_argument("--oracle", action="store_true", help="add the graph-walk oracle suite")
     p.add_argument("--seed", type=int, default=0, metavar="K")
-    p.add_argument("--max-len", type=int, default=8, metavar="L")
-    p.add_argument("--stages", type=int, default=4, metavar="N")
+    p.add_argument("--max-len", type=_int_at_least(1), default=8, metavar="L")
+    p.add_argument("--stages", type=_int_at_least(2), default=4, metavar="N")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
     return parser

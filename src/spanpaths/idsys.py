@@ -298,25 +298,17 @@ def word_family(span, bound):
     the crossing, restricted to where both sides stay within the window
     (the backward concatenation is its exact inverse there).
     """
-    cache = {}
-
-    def fiber_for(v):
-        if v not in cache:
-            cache[v] = tuple(enumerate_bound(v))
-        return cache[v]
-
-    def enumerate_bound(v):
-        return [
-            w
-            for w in all_reduced_words(span, bound)
-            if word_endpoint(span, w) == v
-        ]
+    buckets = {}
+    for w in all_reduced_words(span, bound):
+        buckets.setdefault(word_endpoint(span, w), []).append(w)
+    # one tuple per vertex, shared by every word ending there
+    fibers = {v: tuple(ws) for v, ws in buckets.items()}
 
     def forward(s, w, x):
         image = concat_fwd(span, x, s)
         return image if len(image) <= bound else None
 
-    return build_family(span, bound, fiber_for, forward)
+    return build_family(span, bound, lambda v: fibers.get(v, ()), forward)
 
 
 def encode_decode(span, bound):

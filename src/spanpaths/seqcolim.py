@@ -67,9 +67,6 @@ class QuotientSet:
         """Canonical representative (the order-minimal member) of x's class."""
         return self._elements[self._find(self._index[x])]
 
-    def same(self, x, y):
-        return self._find(self._index[x]) == self._find(self._index[y])
-
     def representatives(self):
         """Class representatives in canonical order."""
         return [e for i, e in enumerate(self._elements) if self._find(i) == i]

@@ -54,27 +54,13 @@ class SpanInstance:
                 raise ValueError("right leg undefined or out of range at %r" % (m,))
 
 
-@dataclass
-class PushoutPi0:
-    """Component quotient of a span's pushout, with the two cocone maps."""
-
-    span: SpanInstance
-    classes: QuotientSet
-
-    def inl(self, x):
-        return self.classes.find(("inl", x))
-
-    def inr(self, y):
-        return self.classes.find(("inr", y))
-
-
 def pushout_pi0(sp):
-    """Classes of left + right under inl(lmap m) ~ inr(rmap m) for every middle m."""
+    """Sealed quotient of left + right by inl(lmap m) ~ inr(rmap m) for every middle m."""
     cells = [("inl", x) for x in sp.left] + [("inr", y) for y in sp.right]
     q = QuotientSet(cells)
     for m in sp.middle:
         q.union(("inl", sp.lmap[m]), ("inr", sp.rmap[m]))
-    return PushoutPi0(sp, q.seal())
+    return q.seal()
 
 
 def _cell_value(cell, left_map, right_map):
@@ -82,7 +68,14 @@ def _cell_value(cell, left_map, right_map):
     return left_map[payload] if tag == "inl" else right_map[payload]
 
 
-def _cogap_over(quot, sp, left_map, right_map):
+def cogap_set(quot, sp, left_map, right_map):
+    """Unique factorization of a consistent cocone through the pushout classes.
+
+    ``quot`` is the pushout's quotient (pushout_pi0(sp), or a stage's stored
+    one); ``left_map`` and ``right_map`` are dicts into a common codomain.
+    Consistency (they agree across the middle) is checked and a ValueError
+    raised otherwise. Returns a dict from class representatives to values.
+    """
     for m in sp.middle:
         lv = left_map[sp.lmap[m]]
         rv = right_map[sp.rmap[m]]
@@ -96,21 +89,10 @@ def _cogap_over(quot, sp, left_map, right_map):
         for cell in cls[1:]:
             other = _cell_value(cell, left_map, right_map)
             if other != value:
-                # cannot happen once the cocone condition holds; kept as a guard
+                # only reachable when quot is not the pushout of sp
                 raise ValueError("cocone not constant on the class of %r" % (cls[0],))
         out[cls[0]] = value
     return out
-
-
-def cogap_set(sp, left_map, right_map):
-    """Unique factorization of a consistent cocone through the pushout classes.
-
-    ``left_map`` and ``right_map`` are dicts into a common codomain;
-    consistency (they agree across the middle) is checked and a ValueError
-    raised otherwise. Returns a dict from class representatives to values.
-    """
-    po = pushout_pi0(sp)
-    return _cogap_over(po.classes, sp, left_map, right_map)
 
 
 @dataclass
@@ -141,12 +123,6 @@ class StageFamily:
 
     def pb_classes(self, b):
         return self.pb_quot[b].representatives()
-
-    def pa_cells(self, a):
-        return self.pa_quot[a].elements
-
-    def pb_cells(self, b):
-        return self.pb_quot[b].elements
 
     def glue_edges(self, vertex):
         """Symbolic gluing identifications (inl cell, inr cell) for one fiber."""
@@ -201,7 +177,7 @@ def build_stages(span, n_max):
             rmap = {(s, p): (s, prev.bwd_maps[s][p]) for s, p in middle}
             sp = SpanInstance(left, middle, right, lmap, rmap)
             spans_b.append(sp)
-            pb_quot.append(pushout_pi0(sp).classes)
+            pb_quot.append(pushout_pi0(sp))
 
         # forward bridge out of stage n - 1: right point constructor of this pushout
         prev_fwd = []
@@ -226,7 +202,7 @@ def build_stages(span, n_max):
             rmap = {(s, p): (s, prev.fwd_maps[s][p]) for s, p in middle}
             sp = SpanInstance(left, middle, right, lmap, rmap)
             spans_a.append(sp)
-            pa_quot.append(pushout_pi0(sp).classes)
+            pa_quot.append(pushout_pi0(sp))
 
         bwd_maps = tuple(
             {
@@ -349,7 +325,7 @@ def stage_word_bijection(stages, n):
                 for s, d in sp.right
             }
             try:
-                word_maps[(k, vtx)] = _cogap_over(st.pb_quot[b], sp, left_map, right_map)
+                word_maps[(k, vtx)] = cogap_set(st.pb_quot[b], sp, left_map, right_map)
             except ValueError as exc:
                 failures.append("stage %d B fiber %s: %s" % (k, span.vertex_label(vtx), exc))
                 return BijectionReport(n, word_maps, rows, failures)
@@ -363,7 +339,7 @@ def stage_word_bijection(stages, n):
                 for s, q in sp.right
             }
             try:
-                word_maps[(k, vtx)] = _cogap_over(st.pa_quot[a], sp, left_map, right_map)
+                word_maps[(k, vtx)] = cogap_set(st.pa_quot[a], sp, left_map, right_map)
             except ValueError as exc:
                 failures.append("stage %d A fiber %s: %s" % (k, span.vertex_label(vtx), exc))
                 return BijectionReport(n, word_maps, rows, failures)

@@ -144,20 +144,6 @@ def concat_bwd(span, word, s):
     return word + (Step(BWD, s),)
 
 
-def transport_glue(span, word, s):
-    """Alias of concat_fwd naming the canonical transition across a glue edge."""
-    return concat_fwd(span, word, s)
-
-
-def stage_of(span, word):
-    """Least stage whose fiber contains the reduced word.
-
-    A-side fibers at stage n hold words of length up to 2n, B-side fibers up
-    to 2n - 1, so both sides come out as (len + 1) // 2.
-    """
-    return (len(word) + 1) // 2
-
-
 def _extensions(span, word):
     # reduced one-step extensions in canonical order (edge declaration order)
     at = word_endpoint(span, word)

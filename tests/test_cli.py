@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from spanpaths import checks, cli
 
 SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
@@ -103,6 +105,33 @@ def test_bad_word_exits_two(capsys):
 def test_usage_error_exits_two(capsys):
     assert cli.run(["enumerate", CIRCLE]) == 2  # missing --endpoint
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stages", CIRCLE, "--up-to", "-1"],
+        ["limit", CIRCLE, "--up-to", "-1", "--endpoint", "a"],
+        ["check", CIRCLE, "--stages", "0"],
+        ["check", CIRCLE, "--stages", "1"],
+        ["check", CIRCLE, "--max-len", "0"],
+        ["enumerate", CIRCLE, "--endpoint", "a", "--max-len", "-3"],
+    ],
+)
+def test_argument_below_minimum_exits_two(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.splitlines()[0].startswith("usage: spanpaths %s" % argv[0])
+    assert "error: argument" in err.splitlines()[-1]
+    assert "must be at least" in err.splitlines()[-1]
+
+
+def test_argument_minimums_are_accepted(capsys):
+    code, out, _ = run(capsys, ["check", CIRCLE, "--stages", "2", "--max-len", "1"])
+    assert code == 0
+    assert "all suites passed" in out
 
 
 def test_json_enumerate(capsys):

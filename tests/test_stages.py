@@ -1,6 +1,6 @@
 import pytest
 
-from spanpaths.seqcolim import direct_limit
+from spanpaths.seqcolim import QuotientSet, direct_limit
 from spanpaths.span import Vertex, parse_span
 from spanpaths.stages import (
     SpanInstance,
@@ -17,16 +17,16 @@ from spanpaths.words import enumerate_words, format_word
 
 def test_pushout_coproduct():
     sp = SpanInstance(("x",), (), ("y",), {}, {})
-    po = pushout_pi0(sp)
-    assert po.classes.class_count == 2
-    assert po.inl("x") != po.inr("y")
+    q = pushout_pi0(sp)
+    assert q.class_count == 2
+    assert q.find(("inl", "x")) != q.find(("inr", "y"))
 
 
 def test_pushout_single_glue():
     sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
-    po = pushout_pi0(sp)
-    assert po.classes.class_count == 1
-    assert po.inl("x") == po.inr("y")
+    q = pushout_pi0(sp)
+    assert q.class_count == 1
+    assert q.find(("inl", "x")) == q.find(("inr", "y"))
 
 
 def test_pushout_circle_first_a_stage(circle):
@@ -46,20 +46,29 @@ def test_span_instance_validation():
 
 def test_cogap_coproduct():
     sp = SpanInstance(("x",), (), ("y",), {}, {})
-    mapping = cogap_set(sp, {"x": 0}, {"y": 1})
+    mapping = cogap_set(pushout_pi0(sp), sp, {"x": 0}, {"y": 1})
     assert sorted(mapping.values()) == [0, 1]
 
 
 def test_cogap_constant():
     sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
-    mapping = cogap_set(sp, {"x": 7}, {"y": 7})
+    mapping = cogap_set(pushout_pi0(sp), sp, {"x": 7}, {"y": 7})
     assert list(mapping.values()) == [7]
 
 
 def test_cogap_rejects_inconsistent_cocone():
     sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
     with pytest.raises(ValueError, match="inconsistent cocone"):
-        cogap_set(sp, {"x": 0}, {"y": 1})
+        cogap_set(pushout_pi0(sp), sp, {"x": 0}, {"y": 1})
+
+
+def test_cogap_rejects_quotient_that_is_not_the_pushout():
+    # consistent cocone, but the quotient merges cells the span never glues
+    sp = SpanInstance(("x",), (), ("y",), {}, {})
+    q = QuotientSet([("inl", "x"), ("inr", "y")])
+    q.union(("inl", "x"), ("inr", "y"))
+    with pytest.raises(ValueError, match="not constant"):
+        cogap_set(q.seal(), sp, {"x": 0}, {"y": 1})
 
 
 def test_cogap_words_on_circle_stage(circle):
@@ -71,7 +80,7 @@ def test_cogap_words_on_circle_stage(circle):
 
     left_map = {"refl": ()}
     right_map = {(s, q): concat_bwd(circle, b_words[q], s) for s, q in sp.right}
-    mapping = cogap_set(sp, left_map, right_map)
+    mapping = cogap_set(pushout_pi0(sp), sp, left_map, right_map)
     assert sorted(format_word(circle, w) for w in mapping.values()) == [
         ">s <t",
         ">t <s",

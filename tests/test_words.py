@@ -17,8 +17,6 @@ from spanpaths.words import (
     parse_word,
     reduce_word,
     reduce_word_rightmost,
-    stage_of,
-    transport_glue,
     validate_word,
     word_endpoint,
 )
@@ -81,19 +79,6 @@ def test_concat_endpoint_mismatch(circle):
         concat_fwd(circle, w((FWD, S)), T)
     with pytest.raises(WordError, match="not at the B end"):
         concat_bwd(circle, (), S)
-
-
-def test_transport_glue_is_concat_fwd(circle):
-    for word in enumerate_words(circle, Vertex("A", 0), 4):
-        for s in (S, T):
-            assert transport_glue(circle, word, s) == concat_fwd(circle, word, s)
-
-
-def test_stage_of(circle):
-    assert stage_of(circle, ()) == 0
-    assert stage_of(circle, w((FWD, S))) == 1
-    assert stage_of(circle, w((FWD, S), (BWD, T))) == 1
-    assert stage_of(circle, w((FWD, S), (BWD, T), (FWD, S))) == 2
 
 
 def test_enumerate_circle(circle):
