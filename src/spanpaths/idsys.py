@@ -16,12 +16,20 @@ family with the words themselves and confirms the fold is the identity.
 Transitions are stored as forward/inverse dict pairs and may be partial at
 the window boundary (a crossing can push a value outside a bounded fiber);
 they are still required to be exact mutual inverses where defined.
+
+Families are generated from ``crossing(s, w)``, which returns the forward
+dict of one whole transition. A family whose crossing does not depend on the
+word (trivial, parity, winding and the word family itself) returns the same
+dict for every word, so one ``(fwd, inv)`` pair object is shared by all the
+transitions across an edge; validation checks each shared pair once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import takewhile
 
+from .span import Vertex
 from .words import FWD, all_reduced_words, concat_fwd, format_word, word_endpoint
 
 
@@ -33,15 +41,20 @@ class DescentFamily:
     ``(fwd, inv)`` dict pair for every edge s and reduced word w ending at
     its A end such that the crossed word also fits in the bound. Validation
     enforces completeness of both tables and exact two-sided inverses.
+    Fibers and pairs may be shared objects; containment and bijectivity are
+    checked once per distinct combination of (fwd, inv, source fiber, target
+    fiber) objects.
+    ``words`` is the canonical enumeration of the fiber table's keys.
     """
 
     span: object
     bound: int
     fibers: dict
     transitions: dict
+    words: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        words = all_reduced_words(self.span, self.bound)
+        self.words = words = all_reduced_words(self.span, self.bound)
         word_set = set(words)
         if set(self.fibers) != word_set:
             missing = [w for w in words if w not in self.fibers]
@@ -49,25 +62,32 @@ class DescentFamily:
                 "fiber table incomplete or overfull (missing %d, extra %d)"
                 % (len(missing), len(set(self.fibers) - word_set))
             )
-        required = set()
+        required = {}
         for w in words:
             end = word_endpoint(self.span, w)
             if end.side != "A":
                 continue
             for s in self.span.edges_at(end):
-                if len(concat_fwd(self.span, w, s)) <= self.bound:
-                    required.add((s, w))
-        if set(self.transitions) != required:
+                target = concat_fwd(self.span, w, s)
+                if len(target) <= self.bound:
+                    required[(s, w)] = target
+        if self.transitions.keys() != required.keys():
             raise ValueError(
                 "transition table incomplete or overfull (missing %d, extra %d)"
                 % (
-                    len(required - set(self.transitions)),
-                    len(set(self.transitions) - required),
+                    len(required.keys() - self.transitions.keys()),
+                    len(self.transitions.keys() - required.keys()),
                 )
             )
+        # identity keys are stable: this family holds every keyed object
+        checked = set()
         for (s, w), (fwd, inv) in self.transitions.items():
-            src = set(self.fibers[w])
-            tgt = set(self.fibers[concat_fwd(self.span, w, s)])
+            src, tgt = self.fibers[w], self.fibers[required[(s, w)]]
+            key = (id(fwd), id(inv), id(src), id(tgt))
+            if key in checked:
+                continue
+            checked.add(key)
+            src, tgt = set(src), set(tgt)
             for x, y in fwd.items():
                 if x not in src or y not in tgt:
                     raise ValueError(
@@ -81,44 +101,48 @@ class DescentFamily:
                 )
 
 
-def build_family(span, bound, fiber_for, forward):
+def build_family(span, bound, fiber_for, crossing):
     """Assemble a DescentFamily from a generator interface.
 
     ``fiber_for(vertex)`` gives the ordered fiber used at every word ending
-    there; ``forward(s, word, x)`` gives the image across edge s, or None
-    when the image falls outside the window (the transition is then partial
-    at that value).
+    there; it is called once per vertex, in order of first appearance among
+    the canonically ordered words, and the resulting tuple is shared by all
+    those words. ``crossing(s, word)`` gives the forward dict across edge s
+    from ``word``, from fiber values to fiber values; it may omit values whose
+    image falls outside the window (the transition is then partial there) and
+    is not trimmed to the fibers, so validation rejects stray keys or images.
+    Returning the same dict for several words shares one (fwd, inv) pair
+    between their transitions; the inverse is computed once per distinct dict.
     """
-    fibers = {
-        w: tuple(fiber_for(word_endpoint(span, w))) for w in all_reduced_words(span, bound)
-    }
+    words = all_reduced_words(span, bound)
+    ends = [word_endpoint(span, w) for w in words]
+    at = {v: tuple(fiber_for(v)) for v in dict.fromkeys(ends)}
+    fibers = {w: at[v] for w, v in zip(words, ends)}
+    pairs = {}  # id(fwd) -> (fwd, inv); every fwd stays referenced by the table
     transitions = {}
-    for w in fibers:
-        end = word_endpoint(span, w)
+    for w, end in zip(words, ends):
         if end.side != "A":
             continue
         for s in span.edges_at(end):
             if len(concat_fwd(span, w, s)) > bound:
                 continue
-            fwd = {}
-            for x in fibers[w]:
-                y = forward(s, w, x)
-                if y is not None:
-                    fwd[x] = y
-            transitions[(s, w)] = (fwd, {y: x for x, y in fwd.items()})
+            fwd = crossing(s, w)
+            if id(fwd) not in pairs:
+                pairs[id(fwd)] = (fwd, {y: x for x, y in fwd.items()})
+            transitions[(s, w)] = pairs[id(fwd)]
     return DescentFamily(span, bound, fibers, transitions)
 
 
 def trivial_family(span, bound):
     """Every fiber a singleton; the fold has exactly one section."""
-    return build_family(span, bound, lambda v: (0,), lambda s, w, x: x)
+    same = {0: 0}
+    return build_family(span, bound, lambda v: (0,), lambda s, w: same)
 
 
 def parity_family(span, bound, edge):
     """Fibers {0, 1}; crossing the counted edge swaps, everything else fixes."""
-    return build_family(
-        span, bound, lambda v: (0, 1), lambda s, w, x: x ^ 1 if s == edge else x
-    )
+    same, swap = {0: 0, 1: 1}, {0: 1, 1: 0}
+    return build_family(span, bound, lambda v: (0, 1), lambda s, w: swap if s == edge else same)
 
 
 def winding_family(span, bound, edge):
@@ -127,27 +151,23 @@ def winding_family(span, bound, edge):
     The shift is partial at the window's top end, which the fold never
     reaches: a word of length L crosses the counted edge at most L times.
     """
-
-    def forward(s, w, x):
-        if s != edge:
-            return x
-        return x + 1 if x + 1 <= bound else None
-
-    return build_family(span, bound, lambda v: tuple(range(-bound, bound + 1)), forward)
+    window = range(-bound, bound + 1)
+    same = {x: x for x in window}
+    shift = {x: x + 1 for x in window if x + 1 <= bound}
+    return build_family(
+        span, bound, lambda v: tuple(window), lambda s, w: shift if s == edge else same
+    )
 
 
 def random_family(span, bound, rng):
     """A uniform-size family with an independent random bijection per transition."""
     size = rng.randint(1, 4)
-    perms = {}
-
-    def forward(s, w, x):
-        key = (s, w)
-        if key not in perms:
-            perms[key] = rng.sample(range(size), size)
-        return perms[key][x]
-
-    return build_family(span, bound, lambda v: tuple(range(size)), forward)
+    return build_family(
+        span,
+        bound,
+        lambda v: tuple(range(size)),
+        lambda s, w: dict(enumerate(rng.sample(range(size), size))),
+    )
 
 
 @dataclass
@@ -170,7 +190,7 @@ def elim_section(fam, q0):
     if q0 not in fam.fibers[()]:
         raise ValueError("base value %r is not in the fiber at refl" % (q0,))
     values = {}
-    for word in all_reduced_words(span, fam.bound):
+    for word in fam.words:
         if not word:
             values[word] = q0
             continue
@@ -216,7 +236,8 @@ def check_computation(fam, q0, sec):
     checked = 1
     if sec.values.get(()) != q0:
         violations.append("value at refl is %r, expected %r" % (sec.values.get(()), q0))
-    for w in all_reduced_words(span, fam.bound - 1):
+    # canonical order is length-first, so the window-safe words are a prefix
+    for w in takewhile(lambda u: len(u) < fam.bound, fam.words):
         end = word_endpoint(span, w)
         if end.side != "A":
             continue
@@ -263,7 +284,7 @@ def uniqueness_check(fam, q0, sec):
     span = fam.span
     reference = elim_section(fam, q0)
     checked = 0
-    for word in all_reduced_words(span, fam.bound):
+    for word in fam.words:
         checked += 1
         if sec.values.get(word) != reference.values[word]:
             return UniquenessReport(
@@ -296,19 +317,17 @@ def word_family(span, bound):
     The fiber over any word ending at v is the set of reduced words to v
     within the bound, and the transition across an edge is concatenation of
     the crossing, restricted to where both sides stay within the window
-    (the backward concatenation is its exact inverse there).
+    (the backward concatenation is its exact inverse there). The crossing
+    ignores the word it starts from, so each edge's table is built once.
     """
     buckets = {}
     for w in all_reduced_words(span, bound):
         buckets.setdefault(word_endpoint(span, w), []).append(w)
-    # one tuple per vertex, shared by every word ending there
-    fibers = {v: tuple(ws) for v, ws in buckets.items()}
-
-    def forward(s, w, x):
-        image = concat_fwd(span, x, s)
-        return image if len(image) <= bound else None
-
-    return build_family(span, bound, lambda v: fibers.get(v, ()), forward)
+    crossings = []
+    for s in range(len(span.edges)):
+        images = {x: concat_fwd(span, x, s) for x in buckets.get(Vertex("A", span.a_end(s)), ())}
+        crossings.append({x: y for x, y in images.items() if len(y) <= bound})
+    return build_family(span, bound, lambda v: buckets.get(v, ()), lambda s, w: crossings[s])
 
 
 def encode_decode(span, bound):

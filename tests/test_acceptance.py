@@ -111,7 +111,7 @@ def test_criterion_5_identity_system(corpus):
             ok = ok and uniqueness_check(fam, 0, section).ok
         ok = ok and encode_decode(span, bound).ok
         # negative control: a single flipped value must be detected
-        fam = build_family(span, bound, lambda v: (0, 1), lambda s, w, x: x)
+        fam = build_family(span, bound, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
         section = elim_section(fam, 0)
         target = all_reduced_words(span, bound - 1)[-1]
         corrupted = dict(section.values)

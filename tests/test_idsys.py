@@ -138,12 +138,46 @@ def test_encode_decode_theta(theta):
     assert report.identity_checked == len(all_reduced_words(theta, 3))
 
 
+@pytest.mark.parametrize("bound", [4, 6, 8])
+def test_encode_decode_theta_closed_form(theta, bound):
+    # theta has 3 * 2**L - 2 reduced words of length <= L; each square is one
+    # word-to-predecessor link among the words of length <= L - 1
+    report = encode_decode(theta, bound)
+    assert report.ok
+    assert report.identity_checked == 3 * 2 ** (bound - 1) - 2
+    assert report.naturality_checked == report.identity_checked - 1
+
+
 def test_word_family_transitions_are_concatenation(circle):
     fam = word_family(circle, 4)
     for (s, w), (fwd, inv) in fam.transitions.items():
         for value, image in fwd.items():
             assert inv[image] == value
             assert len(image) in (len(value) - 1, len(value) + 1)
+
+
+def test_word_family_shares_one_pair_per_edge(theta):
+    fam = word_family(theta, 8)
+    assert len(fam.transitions) == 765
+    pairs_by_edge = {}
+    for (s, _), pair in fam.transitions.items():
+        pairs_by_edge.setdefault(s, set()).add(id(pair))
+    assert {s: len(ids) for s, ids in pairs_by_edge.items()} == {0: 1, 1: 1, 2: 1}
+    assert len({id(pair) for pair in fam.transitions.values()}) == 3
+
+
+def test_family_validation_rejects_non_bijection_among_shared_pairs(circle):
+    fam = parity_family(circle, 6, T_EDGE)
+    transitions = dict(fam.transitions)
+    key = list(transitions)[-1]  # checked after its shared pair passed at other words
+    transitions[key] = ({0: 0, 1: 0}, {0: 0})
+    with pytest.raises(ValueError, match="not bijective"):
+        DescentFamily(circle, 6, fam.fibers, transitions)
+
+
+def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
+    with pytest.raises(ValueError, match="leaves the fibers"):
+        build_family(circle, 3, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1, 2: 2})
 
 
 def test_family_validation_rejects_missing_fiber(circle):
@@ -182,7 +216,7 @@ def test_random_families_fold_coherently(corpus):
 
 
 def test_build_family_on_edgeless_span(coproduct):
-    fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w, x: x)
+    fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
     assert set(fam.fibers) == {()}
     assert fam.transitions == {}
     section = elim_section(fam, 1)

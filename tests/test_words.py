@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spanpaths import checks
 from spanpaths.span import Vertex
 from spanpaths.words import (
     BWD,
@@ -151,7 +152,17 @@ def test_confluence_on_random_words(corpus):
             assert left == right
             assert is_reduced(left)
             assert (len(raw) - len(left)) // 2 <= len(raw) // 2
+            assert word_endpoint(span, left) == word_endpoint(span, raw)
+            assert (len(raw) - len(left)) % 2 == 0
             validate_word(span, left)
+
+
+def test_reduce_confluence_check_catches_a_collapsing_reducer(circle, monkeypatch):
+    # both strategies agree and return a reduced word, yet lose the endpoint
+    monkeypatch.setattr(checks, "reduce_word", lambda span, w: ())
+    monkeypatch.setattr(checks, "reduce_word_rightmost", lambda span, w: ())
+    rows = {r.name: r for r in checks.word_suite(circle)}
+    assert not rows["words.reduce-confluence"].ok
 
 
 def test_parse_format_roundtrip(circle):
