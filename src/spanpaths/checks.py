@@ -186,12 +186,11 @@ def stage_suite(span, depth=4):
     stages = build_stages(span, depth)
 
     failures = []
-    for a in range(len(span.a_vertices)):
-        size = stages[0].pa_quot[a].class_count
+    for a, size in enumerate(stages[0].sizes_a):
         if size != (1 if a == span.basepoint else 0):
             failures.append("stage 0 A fiber %s has %d classes" % (span.a_vertices[a], size))
-    for b in range(len(span.b_vertices)):
-        if stages[0].pb_quot[b].class_count != 0:
+    for b, size in enumerate(stages[0].sizes_b):
+        if size != 0:
             failures.append("stage 0 B fiber %s is not empty" % (span.b_vertices[b],))
     results.append(_result("stages.zero-case", failures))
 
@@ -201,12 +200,10 @@ def stage_suite(span, depth=4):
     failures = []
     for k in range(1, depth + 1):
         st = stages[k]
-        for a in range(len(span.a_vertices)):
-            images = [st.incl_a[a][p] for p in stages[k - 1].pa_classes(a)]
+        for a, images in enumerate(st.incl_a):
             if len(set(images)) != len(images):
                 failures.append("stage %d A inclusion at %s not injective" % (k, span.a_vertices[a]))
-        for b in range(len(span.b_vertices)):
-            images = [st.incl_b[b][p] for p in stages[k - 1].pb_classes(b)]
+        for b, images in enumerate(st.incl_b):
             if len(set(images)) != len(images):
                 failures.append("stage %d B inclusion at %s not injective" % (k, span.b_vertices[b]))
     results.append(_result("stages.incl-injective", failures))

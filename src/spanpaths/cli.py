@@ -21,8 +21,13 @@ from .oracle import pi1_rank
 
 
 def _load_span(path):
-    with open(path, encoding="utf-8") as handle:
-        return parse_span(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpanError("%s: not UTF-8 text (bad byte at offset %d)" % (path, exc.start)) from None
+    return parse_span(text)
 
 
 def _emit(args, payload, text_lines):
@@ -77,21 +82,11 @@ def _cmd_stages(args):
     for n in range(args.up_to + 1):
         st = stages[n]
         cycles = cycle_diagnostic(stages, n)
-        glue = 0
-        if st.spans_a is not None:
-            glue += sum(len(sp.middle) for sp in st.spans_a)
-            glue += sum(len(sp.middle) for sp in st.spans_b)
         row = {
             "n": n,
-            "a_fibers": {
-                span.a_vertices[a]: st.pa_quot[a].class_count
-                for a in range(len(span.a_vertices))
-            },
-            "b_fibers": {
-                span.b_vertices[b]: st.pb_quot[b].class_count
-                for b in range(len(span.b_vertices))
-            },
-            "glue": glue,
+            "a_fibers": dict(zip(span.a_vertices, st.sizes_a)),
+            "b_fibers": dict(zip(span.b_vertices, st.sizes_b)),
+            "glue": sum(st.glue_count(v) for v in span.vertices()),
             "cycles": sum(cycles.values()),
             "bijection": "ok"
             if all(ok for stage, _v, _c, _w, ok in report.rows if stage == n)

@@ -3,234 +3,239 @@
 Stage n of the A-side family over a vertex holds (classes of) cells for
 based walks crossing between the two sides at most 2n times; the B side at
 most 2n - 1 times. Stage 0 is primitive: the B side is empty and the A side
-has the single cell ``refl`` over the basepoint. Every later stage is the
-pushout of an explicit span of cells,
+has the single cell ``refl`` over the basepoint (class 0). Every later stage
+is the pushout of an explicit span of cells,
 
     previous classes  <--  (edge, previous class) pairs  -->  bridged cells,
 
 whose middle encodes one-step backtracking identifications: gluing says that
 including an old cell equals bridging it across an edge and straight back.
-Connected components of that gluing, computed by union-find, are the stage's
-classes. The bridge maps themselves are not recursive: the forward bridge
-out of stage n is simply the right point constructor of the stage n + 1
-B-side pushout, and dually for the backward bridge, so they are read off
-after each pushout is formed.
 
-The gluing spans are retained on each stage so the identifications can be
-reported symbolically and refolded (cogap_set) against independent data,
-most importantly the reduced-word model: stage_word_bijection labels every
-cell with a reduced word and checks that classes are exactly the words
-within the stage's length bound, naturally in all stage maps.
+Cells are integers. A fiber's cells are its inl block ``0..L-1``, one cell
+per previous class of the same fiber, followed by one inr block per incident
+edge, in ``edges_at`` order, each at a fixed offset; the block of edge s
+holds one cell per class at the edge's other end. The gluing identifies inl
+cell p with cell ``offset_s + bridge_s[p]``. Connected components, computed
+by a flat-list union-find whose root is always the smaller cell, are the
+stage's classes, numbered ``0..k-1`` in order of their least cell. The
+bridge maps themselves are not recursive: the forward bridge out of stage n
+is the slice of the stage n + 1 B-side class ids over that edge's block, and
+dually for the backward bridge, so they are read off after each pushout.
+
+Provenance is decoded only where it is reported (glue_edges). Each stage
+keeps the bridges its gluing followed, so the identifications can be refolded
+(cogap_set) against independent data, most importantly the reduced-word
+model: stage_word_bijection labels every cell with a reduced word and checks
+that classes are exactly the words within the stage's length bound,
+naturally in all stage maps.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .seqcolim import FinSeqDiagram, QuotientSet, SeqZigzag, shift_diagram, truncate_diagram
+from .seqcolim import FinSeqDiagram, SeqZigzag, shift_diagram, truncate_diagram
 from .span import Vertex
-from .words import concat_bwd, concat_fwd, enumerate_words
+from .words import all_reduced_words, concat_bwd, concat_fwd, word_endpoint
+
+
+def _offsets(left, blocks):
+    """Offset of each block after the inl block, and the cell count.
+
+    Rejects a bridge that is not total on the inl block or that sends a cell
+    outside its own block.
+    """
+    offsets = []
+    offset = left
+    for i, (size, bridge) in enumerate(blocks):
+        if len(bridge) != left:
+            raise ValueError(
+                "bridge %d is not total: %d images for %d inl cells" % (i, len(bridge), left)
+            )
+        if bridge and not (0 <= min(bridge) and max(bridge) < size):
+            raise ValueError("bridge %d leaves its block of %d cells" % (i, size))
+        offsets.append(offset)
+        offset += size
+    return offsets, offset
+
+
+def pushout_pi0(left, blocks):
+    """Classes of the pushout  inl block <- inl block x blocks -> blocks.
+
+    Cells are ``0..left-1`` (the inl block), then each ``(size, bridge)`` of
+    ``blocks`` in order at a fixed offset; every inl cell p is glued to cell
+    ``bridge[p]`` of every block. Returns ``(class_of, count)``: a tuple
+    giving each cell its class id, ids ``0..count-1`` numbering the classes
+    in order of their least cell.
+    """
+    offsets, total = _offsets(left, blocks)
+    parent = list(range(total))
+    for offset, (_size, bridge) in zip(offsets, blocks):
+        for p, q in enumerate(bridge):
+            x = p
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]  # path halving
+            y = offset + q
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    # parent[c] <= c throughout, so one forward pass numbers every class
+    class_of = [0] * total
+    count = 0
+    for c, p in enumerate(parent):
+        if p == c:
+            class_of[c] = count
+            count += 1
+        else:
+            class_of[c] = class_of[p]
+    return tuple(class_of), count
+
+
+def cogap_set(class_of, left, blocks, values):
+    """Unique factorization of a consistent cocone through the pushout classes.
+
+    ``class_of`` partitions the cells of the gluing span ``(left, blocks)``
+    (pushout_pi0's result, or a stage's stored one); ``values`` gives every
+    cell, inl block first, a value in a common codomain. Consistency (the
+    two cells of every glue pair agree) is checked and a ValueError raised
+    otherwise. Returns a tuple of values indexed by class id.
+    """
+    offsets, total = _offsets(left, blocks)
+    if len(class_of) != total or len(values) != total:
+        raise ValueError("need one class id and one value for each of %d cells" % (total,))
+    for i, (offset, (_size, bridge)) in enumerate(zip(offsets, blocks)):
+        for p, q in enumerate(bridge):
+            if values[p] != values[offset + q]:
+                raise ValueError(
+                    "inconsistent cocone at inl cell %d, block %d: %r != %r"
+                    % (p, i, values[p], values[offset + q])
+                )
+    out = []
+    for cell, (cls, value) in enumerate(zip(class_of, values)):
+        if cls == len(out):
+            out.append(value)
+        elif cls > len(out):
+            raise ValueError("class %d first appears out of order at cell %d" % (cls, cell))
+        elif out[cls] != value:
+            # only reachable when class_of is not the pushout of (left, blocks)
+            raise ValueError("cocone not constant on class %d" % (cls,))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
-class SpanInstance:
-    """A span of finite sets: left <- middle -> right with total maps."""
-
-    left: tuple
-    middle: tuple
-    right: tuple
-    lmap: dict
-    rmap: dict
-
-    def __post_init__(self):
-        for name, elems in (("left", self.left), ("middle", self.middle), ("right", self.right)):
-            if len(set(elems)) != len(elems):
-                raise ValueError("duplicate elements in %s set" % (name,))
-        lset, rset = set(self.left), set(self.right)
-        for m in self.middle:
-            if m not in self.lmap or self.lmap[m] not in lset:
-                raise ValueError("left leg undefined or out of range at %r" % (m,))
-            if m not in self.rmap or self.rmap[m] not in rset:
-                raise ValueError("right leg undefined or out of range at %r" % (m,))
-
-
-def pushout_pi0(sp):
-    """Sealed quotient of left + right by inl(lmap m) ~ inr(rmap m) for every middle m."""
-    cells = [("inl", x) for x in sp.left] + [("inr", y) for y in sp.right]
-    q = QuotientSet(cells)
-    for m in sp.middle:
-        q.union(("inl", sp.lmap[m]), ("inr", sp.rmap[m]))
-    return q.seal()
-
-
-def _cell_value(cell, left_map, right_map):
-    tag, payload = cell
-    return left_map[payload] if tag == "inl" else right_map[payload]
-
-
-def cogap_set(quot, sp, left_map, right_map):
-    """Unique factorization of a consistent cocone through the pushout classes.
-
-    ``quot`` is the pushout's quotient (pushout_pi0(sp), or a stage's stored
-    one); ``left_map`` and ``right_map`` are dicts into a common codomain.
-    Consistency (they agree across the middle) is checked and a ValueError
-    raised otherwise. Returns a dict from class representatives to values.
-    """
-    for m in sp.middle:
-        lv = left_map[sp.lmap[m]]
-        rv = right_map[sp.rmap[m]]
-        if lv != rv:
-            raise ValueError(
-                "inconsistent cocone at middle element %r: %r != %r" % (m, lv, rv)
-            )
-    out = {}
-    for cls in quot.classes():
-        value = _cell_value(cls[0], left_map, right_map)
-        for cell in cls[1:]:
-            other = _cell_value(cell, left_map, right_map)
-            if other != value:
-                # only reachable when quot is not the pushout of sp
-                raise ValueError("cocone not constant on the class of %r" % (cls[0],))
-        out[cls[0]] = value
-    return out
-
-
-@dataclass
 class StageFamily:
-    """One stage of the construction; built by build_stages, then read-only.
+    """One stage of the construction, built once by build_stages.
 
-    Quotient elements are tagged cells carrying their full provenance:
-    ``("inl", p)`` includes a previous class, ``("inr", (s, q))`` bridges a
-    class q across edge s. ``bwd_maps[s]`` sends this stage's B classes over
-    the edge's B end to A classes over its A end; ``fwd_maps[s]`` sends this
-    stage's A classes into the next stage's B classes and is filled in when
-    that stage is built (None on the last stage).
+    ``class_of_a[a]`` gives every integer cell of A fiber a its class id
+    (inl block of the previous stage's classes, then one block per incident
+    edge in ``edges_at`` order); ``sizes_a[a]`` is its class count; likewise
+    for B. Maps are tuples indexed by class id: ``incl_a[a]`` sends the
+    previous stage's classes to this stage's; ``bwd_maps[s]`` sends this
+    stage's B classes over the edge's B end to A classes over its A end;
+    ``fwd_maps[s]`` sends this stage's A classes into the next stage's B
+    classes (None on the last stage). ``glue_a[s]`` and ``glue_b[s]`` are the
+    bridges the gluing over edge s followed: the previous stage's forward and
+    backward maps (empty at stage 0, which glues nothing and has no
+    inclusions, ``incl_a = incl_b = None``).
     """
 
     span: object
     n: int
-    pa_quot: tuple
-    pb_quot: tuple
-    spans_a: tuple | None
-    spans_b: tuple | None
+    class_of_a: tuple
+    class_of_b: tuple
+    sizes_a: tuple
+    sizes_b: tuple
+    glue_a: tuple
+    glue_b: tuple
     incl_a: tuple | None
     incl_b: tuple | None
     bwd_maps: tuple
-    fwd_maps: tuple | None = None
+    fwd_maps: tuple | None
 
     def pa_classes(self, a):
-        return self.pa_quot[a].representatives()
+        return range(self.sizes_a[a])
 
     def pb_classes(self, b):
-        return self.pb_quot[b].representatives()
+        return range(self.sizes_b[b])
+
+    def glue_count(self, vertex):
+        """Number of gluing identifications in one fiber."""
+        glue = self.glue_a if vertex.side == "A" else self.glue_b
+        return sum(len(glue[s]) for s in self.span.edges_at(vertex))
 
     def glue_edges(self, vertex):
-        """Symbolic gluing identifications (inl cell, inr cell) for one fiber."""
-        spans = self.spans_a if vertex.side == "A" else self.spans_b
-        if spans is None:
-            return ()
-        sp = spans[vertex.index]
-        return tuple((("inl", sp.lmap[m]), ("inr", sp.rmap[m])) for m in sp.middle)
+        """Decoded gluing identifications ``(("inl", p), ("inr", (s, q)))`` of one fiber.
+
+        p is a previous class of the fiber, q a class at edge s's other end.
+        """
+        glue = self.glue_a if vertex.side == "A" else self.glue_b
+        return tuple(
+            (("inl", p), ("inr", (s, q)))
+            for s in self.span.edges_at(vertex)
+            for p, q in enumerate(glue[s])
+        )
+
+
+def _glue_side(left_sizes, edges_at, block_sizes, bridges):
+    """Pushouts of one side's fibers.
+
+    Returns each fiber's class_of and class count, plus, per edge, the
+    slice of class ids over that edge's block.
+    """
+    class_ofs, counts, slices = [], [], [None] * len(bridges)
+    for left, edges in zip(left_sizes, edges_at):
+        class_of, count = pushout_pi0(left, [(block_sizes[s], bridges[s]) for s in edges])
+        offset = left
+        for s in edges:
+            slices[s] = class_of[offset : offset + block_sizes[s]]
+            offset += block_sizes[s]
+        class_ofs.append(class_of)
+        counts.append(count)
+    return tuple(class_ofs), tuple(counts), tuple(slices)
 
 
 def build_stages(span, n_max):
     """Run the staged construction from stage 0 through stage n_max.
 
-    Within a stage the B side is built first (its gluing middle backtracks
-    across the previous stage's backward bridges), the forward bridges out
-    of the previous stage are read off as its right point constructors, and
-    the A side is built on top of the fresh B classes.
+    Within a stage the B side is built first (its gluing backtracks across
+    the previous stage's backward bridges), the forward bridges out of the
+    previous stage are read off its inr blocks, which completes the previous
+    stage, and the A side is built on top of the fresh B classes.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    na, nb = len(span.a_vertices), len(span.b_vertices)
+    na, nb, ne = len(span.a_vertices), len(span.b_vertices), len(span.edges)
     edges_at_a = [span.edges_at(Vertex("A", a)) for a in range(na)]
     edges_at_b = [span.edges_at(Vertex("B", b)) for b in range(nb)]
+    a_end = [span.a_end(s) for s in range(ne)]
+    b_end = [span.b_end(s) for s in range(ne)]
 
-    stages = [
-        StageFamily(
-            span=span,
-            n=0,
-            pa_quot=tuple(
-                QuotientSet(("refl",) if a == span.basepoint else ()).seal() for a in range(na)
-            ),
-            pb_quot=tuple(QuotientSet(()).seal() for _ in range(nb)),
-            spans_a=None,
-            spans_b=None,
-            incl_a=None,
-            incl_b=None,
-            bwd_maps=tuple({} for _ in span.edges),
+    # each stage's fields from class_of_a through bwd_maps; its forward
+    # bridges are known only once the next stage's B side is built
+    class_of_a = tuple((0,) if a == span.basepoint else () for a in range(na))
+    empty = ((),) * ne
+    fields = [(class_of_a, ((),) * nb, tuple(map(len, class_of_a)), (0,) * nb,
+               empty, empty, None, None, empty)]
+    fwd_maps = []
+    for _ in range(n_max):
+        _, _, sizes_a, sizes_b, *_, bwd = fields[-1]
+        new_of_b, new_sizes_b, fwd = _glue_side(
+            sizes_b, edges_at_b, [sizes_a[a_end[s]] for s in range(ne)], bwd
         )
-    ]
-    for n in range(1, n_max + 1):
-        prev = stages[-1]
-
-        spans_b, pb_quot = [], []
-        for b in range(nb):
-            prev_classes = prev.pb_classes(b)
-            left = tuple(prev_classes)
-            middle = tuple((s, p) for s in edges_at_b[b] for p in prev_classes)
-            right = tuple(
-                (s, d) for s in edges_at_b[b] for d in prev.pa_classes(span.a_end(s))
-            )
-            lmap = {(s, p): p for s, p in middle}
-            rmap = {(s, p): (s, prev.bwd_maps[s][p]) for s, p in middle}
-            sp = SpanInstance(left, middle, right, lmap, rmap)
-            spans_b.append(sp)
-            pb_quot.append(pushout_pi0(sp))
-
-        # forward bridge out of stage n - 1: right point constructor of this pushout
-        prev_fwd = []
-        for s in range(len(span.edges)):
-            b = span.b_end(s)
-            prev_fwd.append(
-                {d: pb_quot[b].find(("inr", (s, d))) for d in prev.pa_classes(span.a_end(s))}
-            )
-        prev.fwd_maps = tuple(prev_fwd)
-
-        spans_a, pa_quot = [], []
-        for a in range(na):
-            prev_classes = prev.pa_classes(a)
-            left = tuple(prev_classes)
-            middle = tuple((s, p) for s in edges_at_a[a] for p in prev_classes)
-            right = tuple(
-                (s, q)
-                for s in edges_at_a[a]
-                for q in pb_quot[span.b_end(s)].representatives()
-            )
-            lmap = {(s, p): p for s, p in middle}
-            rmap = {(s, p): (s, prev.fwd_maps[s][p]) for s, p in middle}
-            sp = SpanInstance(left, middle, right, lmap, rmap)
-            spans_a.append(sp)
-            pa_quot.append(pushout_pi0(sp))
-
-        bwd_maps = tuple(
-            {
-                q: pa_quot[span.a_end(s)].find(("inr", (s, q)))
-                for q in pb_quot[span.b_end(s)].representatives()
-            }
-            for s in range(len(span.edges))
+        new_of_a, new_sizes_a, new_bwd = _glue_side(
+            sizes_a, edges_at_a, [new_sizes_b[b_end[s]] for s in range(ne)], fwd
         )
-        incl_a = tuple(
-            {p: pa_quot[a].find(("inl", p)) for p in prev.pa_classes(a)} for a in range(na)
-        )
-        incl_b = tuple(
-            {p: pb_quot[b].find(("inl", p)) for p in prev.pb_classes(b)} for b in range(nb)
-        )
-        stages.append(
-            StageFamily(
-                span=span,
-                n=n,
-                pa_quot=tuple(pa_quot),
-                pb_quot=tuple(pb_quot),
-                spans_a=tuple(spans_a),
-                spans_b=tuple(spans_b),
-                incl_a=incl_a,
-                incl_b=incl_b,
-                bwd_maps=bwd_maps,
-            )
-        )
-    return stages
+        incl_a = tuple(c[:left] for c, left in zip(new_of_a, sizes_a))
+        incl_b = tuple(c[:left] for c, left in zip(new_of_b, sizes_b))
+        fields.append((new_of_a, new_of_b, new_sizes_a, new_sizes_b,
+                       fwd, bwd, incl_a, incl_b, new_bwd))
+        fwd_maps.append(fwd)
+    fwd_maps.append(None)
+    return [StageFamily(span, n, *f, fwd) for n, (f, fwd) in enumerate(zip(fields, fwd_maps))]
 
 
 def cycle_diagnostic(stages, n):
@@ -242,14 +247,13 @@ def cycle_diagnostic(stages, n):
     never assumed.
     """
     st = stages[n]
-    span = st.span
     out = {}
-    for a in range(len(span.a_vertices)):
-        glue = len(st.spans_a[a].middle) if st.spans_a is not None else 0
-        out[Vertex("A", a)] = glue - len(st.pa_quot[a]) + st.pa_quot[a].class_count
-    for b in range(len(span.b_vertices)):
-        glue = len(st.spans_b[b].middle) if st.spans_b is not None else 0
-        out[Vertex("B", b)] = glue - len(st.pb_quot[b]) + st.pb_quot[b].class_count
+    for v in st.span.vertices():
+        if v.side == "A":
+            cells, classes = st.class_of_a[v.index], st.sizes_a[v.index]
+        else:
+            cells, classes = st.class_of_b[v.index], st.sizes_b[v.index]
+        out[v] = st.glue_count(v) - len(cells) + classes
     return out
 
 
@@ -257,10 +261,10 @@ def cycle_diagnostic(stages, n):
 class BijectionReport:
     """Outcome of matching stage classes against the reduced-word model.
 
-    ``word_maps[(n, vertex)]`` sends class representatives to words; rows
-    are (stage, vertex, classes, words, matched) per fiber. failures holds
-    structured counterexample descriptions, so ok means a full bijection
-    commuting with inclusion and both bridges.
+    ``word_maps[(n, vertex)]`` is a tuple of words indexed by class id;
+    rows are (stage, vertex, classes, words, matched) per fiber. failures
+    holds structured counterexample descriptions, so ok means a full
+    bijection commuting with inclusion and both bridges.
     """
 
     max_stage: int
@@ -282,91 +286,97 @@ def stage_word_bijection(stages, n):
     class labelling is a bijection onto the words within the stage bound
     (2n on the A side, 2n - 1 on the B side) and whether it commutes with
     inclusion and the bridge maps. Mismatches are reported, not raised.
+    The expected words come from one enumeration to length 2n, bucketed by
+    endpoint; canonical order is length-first, so each fiber's words are a
+    prefix of its bucket.
     """
     span = stages[0].span
     na, nb = len(span.a_vertices), len(span.b_vertices)
+    buckets = {v: [] for v in span.vertices()}
+    for w in all_reduced_words(span, 2 * n):
+        buckets[word_endpoint(span, w)].append(w)
     word_maps = {}
     rows = []
     failures = []
 
-    def check_fiber(stage, vertex, word_map, bound):
-        words = list(word_map.values())
-        expected = enumerate_words(span, vertex, bound)
+    def check_fiber(stage, vertex, words, bound):
+        bucket = buckets[vertex]
+        expected = bucket[: bisect_right(bucket, bound, key=len)]
         label = "stage %d %s fiber %s" % (stage, vertex.side, span.vertex_label(vertex))
-        if len(set(words)) != len(words):
+        word_set, expected_set = set(words), set(expected)
+        if len(word_set) != len(words):
             failures.append("%s: class labelling is not injective" % (label,))
-        if set(words) != set(expected):
-            missing = [w for w in expected if w not in set(words)]
-            extra = [w for w in words if w not in set(expected)]
+        matched = word_set == expected_set
+        if not matched:
+            missing = [w for w in expected if w not in word_set]
+            extra = [w for w in words if w not in expected_set]
             failures.append(
                 "%s: classes and words differ (missing %r, extra %r)"
                 % (label, missing, extra)
             )
-        rows.append((stage, vertex, len(word_map), len(expected), set(words) == set(expected)))
+        rows.append((stage, vertex, len(words), len(expected), matched))
 
-    for k in range(n + 1):
+    def fold(k, vtx, class_of, glue, other_words, other_end, concat):
+        # cells: the fiber's previous classes, then per edge the classes at its other end
+        left = word_maps[(k - 1, vtx)]
+        values = list(left)
+        blocks = []
+        for s in span.edges_at(vtx):
+            block = other_words[other_end(s)]
+            blocks.append((len(block), glue[s]))
+            values.extend(concat(span, w, s) for w in block)
+        try:
+            word_maps[(k, vtx)] = cogap_set(class_of, len(left), blocks, values)
+        except ValueError as exc:
+            failures.append("stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc))
+            return False
+        return True
+
+    for a in range(na):
+        vtx = Vertex("A", a)
+        word_maps[(0, vtx)] = ((),) if a == span.basepoint else ()
+        check_fiber(0, vtx, word_maps[(0, vtx)], 0)
+    for b in range(nb):
+        vtx = Vertex("B", b)
+        word_maps[(0, vtx)] = ()
+        check_fiber(0, vtx, word_maps[(0, vtx)], -1)
+    for k in range(1, n + 1):
         st = stages[k]
-        if k == 0:
-            for a in range(na):
-                vtx = Vertex("A", a)
-                word_maps[(0, vtx)] = {"refl": ()} if a == span.basepoint else {}
-                check_fiber(0, vtx, word_maps[(0, vtx)], 0)
-            for b in range(nb):
-                vtx = Vertex("B", b)
-                word_maps[(0, vtx)] = {}
-                check_fiber(0, vtx, word_maps[(0, vtx)], -1)
-            continue
+        a_words = [word_maps[(k - 1, Vertex("A", a))] for a in range(na)]
         for b in range(nb):
             vtx = Vertex("B", b)
-            sp = st.spans_b[b]
-            left_map = word_maps[(k - 1, vtx)]
-            right_map = {
-                (s, d): concat_fwd(span, word_maps[(k - 1, Vertex("A", span.a_end(s)))][d], s)
-                for s, d in sp.right
-            }
-            try:
-                word_maps[(k, vtx)] = cogap_set(st.pb_quot[b], sp, left_map, right_map)
-            except ValueError as exc:
-                failures.append("stage %d B fiber %s: %s" % (k, span.vertex_label(vtx), exc))
+            if not fold(k, vtx, st.class_of_b[b], st.glue_b, a_words, span.a_end, concat_fwd):
                 return BijectionReport(n, word_maps, rows, failures)
             check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k - 1)
+        b_words = [word_maps[(k, Vertex("B", b))] for b in range(nb)]
         for a in range(na):
             vtx = Vertex("A", a)
-            sp = st.spans_a[a]
-            left_map = word_maps[(k - 1, vtx)]
-            right_map = {
-                (s, q): concat_bwd(span, word_maps[(k, Vertex("B", span.b_end(s)))][q], s)
-                for s, q in sp.right
-            }
-            try:
-                word_maps[(k, vtx)] = cogap_set(st.pa_quot[a], sp, left_map, right_map)
-            except ValueError as exc:
-                failures.append("stage %d A fiber %s: %s" % (k, span.vertex_label(vtx), exc))
+            if not fold(k, vtx, st.class_of_a[a], st.glue_a, b_words, span.b_end, concat_bwd):
                 return BijectionReport(n, word_maps, rows, failures)
             check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k)
 
         # naturality: inclusion preserves words, bridges concatenate crossings
         for a in range(na):
             vtx = Vertex("A", a)
-            for p, w in word_maps[(k - 1, vtx)].items():
+            for p, w in enumerate(word_maps[(k - 1, vtx)]):
                 if word_maps[(k, vtx)][st.incl_a[a][p]] != w:
                     failures.append(
-                        "stage %d: A inclusion moves the word of %r" % (k, p)
+                        "stage %d: A inclusion moves the word of class %d" % (k, p)
                     )
         for b in range(nb):
             vtx = Vertex("B", b)
-            for p, w in word_maps[(k - 1, vtx)].items():
+            for p, w in enumerate(word_maps[(k - 1, vtx)]):
                 if word_maps[(k, vtx)][st.incl_b[b][p]] != w:
                     failures.append(
-                        "stage %d: B inclusion moves the word of %r" % (k, p)
+                        "stage %d: B inclusion moves the word of class %d" % (k, p)
                     )
         for s in range(len(span.edges)):
             src = Vertex("B", span.b_end(s))
             dst = Vertex("A", span.a_end(s))
-            for q, w in word_maps[(k, src)].items():
+            for q, w in enumerate(word_maps[(k, src)]):
                 if word_maps[(k, dst)][st.bwd_maps[s][q]] != concat_bwd(span, w, s):
                     failures.append(
-                        "stage %d: backward bridge over %s breaks naturality at %r"
+                        "stage %d: backward bridge over %s breaks naturality at class %d"
                         % (k, span.edge_label(s), q)
                     )
     # forward-bridge naturality needs both stages' words, so run it after the loop
@@ -374,27 +384,27 @@ def stage_word_bijection(stages, n):
         for s in range(len(span.edges)):
             src = Vertex("A", span.a_end(s))
             dst = Vertex("B", span.b_end(s))
-            for p, w in word_maps[(k, src)].items():
+            for p, w in enumerate(word_maps[(k, src)]):
                 image = stages[k].fwd_maps[s][p]
                 if word_maps[(k + 1, dst)][image] != concat_fwd(span, w, s):
                     failures.append(
-                        "stage %d: forward bridge over %s breaks naturality at %r"
+                        "stage %d: forward bridge over %s breaks naturality at class %d"
                         % (k, span.edge_label(s), p)
                     )
     return BijectionReport(n, word_maps, rows, failures)
 
 
 def stage_diagram(stages, vertex):
-    """Sequential diagram of one fiber's classes, connected by inclusion."""
+    """Sequential diagram of one fiber's class ids, connected by inclusion."""
     side, idx = vertex
     sets = []
     maps = []
     for k, st in enumerate(stages):
-        quot = st.pa_quot[idx] if side == "A" else st.pb_quot[idx]
-        sets.append(tuple(quot.representatives()))
+        size = st.sizes_a[idx] if side == "A" else st.sizes_b[idx]
+        sets.append(tuple(range(size)))
         if k > 0:
             incl = st.incl_a[idx] if side == "A" else st.incl_b[idx]
-            maps.append(dict(incl))
+            maps.append(dict(enumerate(incl)))
     return FinSeqDiagram(tuple(sets), tuple(maps))
 
 
@@ -413,6 +423,6 @@ def construction_zigzag(stages, s):
     a, b = stages[0].span.a_end(s), stages[0].span.b_end(s)
     left = truncate_diagram(stage_diagram(stages, Vertex("A", a)), m - 1)
     right = shift_diagram(stage_diagram(stages, Vertex("B", b)))
-    fwd = tuple(stages[k].fwd_maps[s] for k in range(m))
-    bwd = tuple(stages[k + 1].bwd_maps[s] for k in range(m - 1))
+    fwd = tuple(dict(enumerate(stages[k].fwd_maps[s])) for k in range(m))
+    bwd = tuple(dict(enumerate(stages[k + 1].bwd_maps[s])) for k in range(m - 1))
     return SeqZigzag(left, right, fwd, bwd)

@@ -45,8 +45,8 @@ def test_criterion_1_circle_stage_cardinalities(circle):
     graph = realize(circle)
     ok = True
     for n in range(1, 6):
-        by_stages_a = stages[n].pa_quot[0].class_count
-        by_stages_b = stages[n].pb_quot[0].class_count
+        by_stages_a = stages[n].sizes_a[0]
+        by_stages_b = stages[n].sizes_b[0]
         by_words_a = len(enumerate_words(circle, Vertex("A", 0), 2 * n))
         by_words_b = len(enumerate_words(circle, Vertex("B", 0), 2 * n - 1))
         by_walks_a = len(nbt_walks(graph, circle.base_vertex, Vertex("A", 0), 2 * n))
@@ -59,7 +59,7 @@ def test_criterion_1_circle_stage_cardinalities(circle):
 def test_criterion_2_interval_contractibility(interval):
     stages = build_stages(interval, 5)
     ok = all(
-        st.pa_quot[0].class_count <= 1 and st.pb_quot[0].class_count <= 1 for st in stages
+        st.sizes_a[0] <= 1 and st.sizes_b[0] <= 1 for st in stages
     )
     for vertex in (Vertex("A", 0), Vertex("B", 0)):
         limit = direct_limit(stage_diagram(stages, vertex))

@@ -90,6 +90,26 @@ def test_parse_error_exits_two(capsys, tmp_path):
     assert "basepoint 'q' not in A" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info"],
+        ["stages"],
+        ["enumerate", "--endpoint", "a"],
+        ["reduce", "--word", "refl"],
+        ["limit", "--endpoint", "a"],
+        ["check"],
+    ],
+)
+def test_non_utf8_span_file_exits_two(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.span"
+    bad.write_bytes(b"A a\xff\nB b\nS s a b\nbase a\n")
+    code, out, err = run(capsys, argv[:1] + [str(bad)] + argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s: not UTF-8 text (bad byte at offset 3)\n" % bad
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = run(capsys, ["info", "no-such-file.span"])
     assert code == 2

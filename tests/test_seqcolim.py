@@ -137,7 +137,7 @@ def test_bridge_morphism_on_circle(circle):
     report = stage_word_bijection(stages, 3)
     mapping = map_of_limits(morphism)
     lim_left = direct_limit(z.left)
-    refl_class = lim_left.find((0, "refl"))
+    refl_class = lim_left.find((0, 0))  # refl is class 0 of stage 0
     stage, cell = mapping[refl_class]
     word = report.word_maps[(stage + 1, Vertex("B", 0))][cell]  # right side is shifted by one
     assert word == (Step(FWD, 0),)
@@ -195,7 +195,7 @@ def test_zigzag_equivalence_circle_refl_roundtrip(circle):
     report = zigzag_equivalence(construction_zigzag(stages, 0))
     assert report.ok
     lim_left = report.left_limit
-    refl_class = lim_left.find((0, "refl"))
+    refl_class = lim_left.find((0, 0))  # refl is class 0 of stage 0
     assert report.backward[report.forward[refl_class]] == refl_class
 
 

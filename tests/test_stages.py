@@ -1,9 +1,12 @@
+import dataclasses
+import random
+
 import pytest
 
+from spanpaths import checks
 from spanpaths.seqcolim import QuotientSet, direct_limit
 from spanpaths.span import Vertex, parse_span
 from spanpaths.stages import (
-    SpanInstance,
     build_stages,
     cogap_set,
     construction_zigzag,
@@ -12,76 +15,84 @@ from spanpaths.stages import (
     stage_diagram,
     stage_word_bijection,
 )
-from spanpaths.words import enumerate_words, format_word
+from spanpaths.words import concat_bwd, enumerate_words, format_word
+
+# (left, blocks) gluing spans: x is inl cell 0 and y the one cell of a block
+COPRODUCT = (0, ((1, ()), (1, ())))  # x and y both bridged, nothing glued
+SINGLE_GLUE = (1, ((1, (0,)),))  # inl x glued to bridged y
 
 
 def test_pushout_coproduct():
-    sp = SpanInstance(("x",), (), ("y",), {}, {})
-    q = pushout_pi0(sp)
-    assert q.class_count == 2
-    assert q.find(("inl", "x")) != q.find(("inr", "y"))
+    class_of, count = pushout_pi0(*COPRODUCT)
+    assert count == 2
+    assert class_of[0] != class_of[1]
 
 
 def test_pushout_single_glue():
-    sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
-    q = pushout_pi0(sp)
-    assert q.class_count == 1
-    assert q.find(("inl", "x")) == q.find(("inr", "y"))
+    class_of, count = pushout_pi0(*SINGLE_GLUE)
+    assert count == 1
+    assert class_of[0] == class_of[1]
 
 
 def test_pushout_circle_first_a_stage(circle):
     # the stage-1 A gluing span: one old cell, two identifications, four bridged cells
-    stages = build_stages(circle, 1)
-    sp = stages[1].spans_a[0]
-    assert (len(sp.left), len(sp.middle), len(sp.right)) == (1, 2, 4)
-    assert stages[1].pa_quot[0].class_count == 3
+    st = build_stages(circle, 1)[1]
+    a0 = Vertex("A", 0)
+    left = len(st.incl_a[0])
+    assert (left, st.glue_count(a0), len(st.class_of_a[0]) - left) == (1, 2, 4)
+    assert len(st.glue_edges(a0)) == 2
+    assert st.sizes_a[0] == 3
 
 
-def test_span_instance_validation():
-    with pytest.raises(ValueError, match="left leg"):
-        SpanInstance(("x",), ("m",), ("y",), {}, {"m": "y"})
-    with pytest.raises(ValueError, match="duplicate"):
-        SpanInstance(("x", "x"), (), (), {}, {})
+def test_pushout_rejects_malformed_bridges():
+    with pytest.raises(ValueError, match="not total"):
+        pushout_pi0(2, ((1, (0,)),))
+    with pytest.raises(ValueError, match="leaves its block"):
+        pushout_pi0(1, ((1, (1,)),))
+    with pytest.raises(ValueError, match="leaves its block"):
+        pushout_pi0(1, ((2, (-1,)),))
 
 
 def test_cogap_coproduct():
-    sp = SpanInstance(("x",), (), ("y",), {}, {})
-    mapping = cogap_set(pushout_pi0(sp), sp, {"x": 0}, {"y": 1})
-    assert sorted(mapping.values()) == [0, 1]
+    class_of, _ = pushout_pi0(*COPRODUCT)
+    assert sorted(cogap_set(class_of, *COPRODUCT, [0, 1])) == [0, 1]
 
 
 def test_cogap_constant():
-    sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
-    mapping = cogap_set(pushout_pi0(sp), sp, {"x": 7}, {"y": 7})
-    assert list(mapping.values()) == [7]
+    class_of, _ = pushout_pi0(*SINGLE_GLUE)
+    assert cogap_set(class_of, *SINGLE_GLUE, [7, 7]) == (7,)
 
 
 def test_cogap_rejects_inconsistent_cocone():
-    sp = SpanInstance(("x",), ("m",), ("y",), {"m": "x"}, {"m": "y"})
+    class_of, _ = pushout_pi0(*SINGLE_GLUE)
     with pytest.raises(ValueError, match="inconsistent cocone"):
-        cogap_set(pushout_pi0(sp), sp, {"x": 0}, {"y": 1})
+        cogap_set(class_of, *SINGLE_GLUE, [0, 1])
+
+
+def test_cogap_rejects_a_value_count_that_is_not_the_cell_count():
+    with pytest.raises(ValueError, match="one value for each of 2 cells"):
+        cogap_set((0, 0), *SINGLE_GLUE, [7])
 
 
 def test_cogap_rejects_quotient_that_is_not_the_pushout():
-    # consistent cocone, but the quotient merges cells the span never glues
-    sp = SpanInstance(("x",), (), ("y",), {}, {})
-    q = QuotientSet([("inl", "x"), ("inr", "y")])
-    q.union(("inl", "x"), ("inr", "y"))
+    # consistent cocone, but the partition merges cells the span never glues
     with pytest.raises(ValueError, match="not constant"):
-        cogap_set(q.seal(), sp, {"x": 0}, {"y": 1})
+        cogap_set((0, 0), *COPRODUCT, [0, 1])
+    # the right partition, but class ids not numbered by least cell
+    with pytest.raises(ValueError, match="out of order"):
+        cogap_set((1, 0), *COPRODUCT, [0, 1])
 
 
 def test_cogap_words_on_circle_stage(circle):
     # labelling the stage-1 A cells with words factors through exactly 3 classes
     stages = build_stages(circle, 1)
-    sp = stages[1].spans_a[0]
+    st = stages[1]
+    edges = circle.edges_at(Vertex("A", 0))
     b_words = stage_word_bijection(stages, 1).word_maps[(1, Vertex("B", 0))]
-    from spanpaths.words import concat_bwd
-
-    left_map = {"refl": ()}
-    right_map = {(s, q): concat_bwd(circle, b_words[q], s) for s, q in sp.right}
-    mapping = cogap_set(pushout_pi0(sp), sp, left_map, right_map)
-    assert sorted(format_word(circle, w) for w in mapping.values()) == [
+    blocks = [(len(b_words), st.glue_a[s]) for s in edges]
+    values = [()] + [concat_bwd(circle, w, s) for s in edges for w in b_words]
+    mapping = cogap_set(st.class_of_a[0], 1, blocks, values)
+    assert sorted(format_word(circle, w) for w in mapping) == [
         ">s <t",
         ">t <s",
         "refl",
@@ -90,8 +101,8 @@ def test_cogap_words_on_circle_stage(circle):
 
 def test_circle_stage_cardinalities(circle):
     stages = build_stages(circle, 5)
-    a_sizes = [st.pa_quot[0].class_count for st in stages]
-    b_sizes = [st.pb_quot[0].class_count for st in stages]
+    a_sizes = [st.sizes_a[0] for st in stages]
+    b_sizes = [st.sizes_b[0] for st in stages]
     assert a_sizes == [1, 3, 5, 7, 9, 11]
     assert b_sizes == [0, 2, 4, 6, 8, 10]
 
@@ -99,10 +110,10 @@ def test_circle_stage_cardinalities(circle):
 def test_interval_stage_fibers_stay_singleton(interval):
     stages = build_stages(interval, 5)
     for st in stages:
-        assert st.pa_quot[0].class_count <= 1
-        assert st.pb_quot[0].class_count <= 1
-    assert stages[5].pa_quot[0].class_count == 1
-    assert stages[5].pb_quot[0].class_count == 1
+        assert st.sizes_a[0] <= 1
+        assert st.sizes_b[0] <= 1
+    assert stages[5].sizes_a[0] == 1
+    assert stages[5].sizes_b[0] == 1
 
 
 def test_zero_case_for_every_span(corpus):
@@ -110,9 +121,9 @@ def test_zero_case_for_every_span(corpus):
         stage0 = build_stages(span, 0)[0]
         for a in range(len(span.a_vertices)):
             expected = 1 if a == span.basepoint else 0
-            assert stage0.pa_quot[a].class_count == expected
+            assert stage0.sizes_a[a] == expected
         for b in range(len(span.b_vertices)):
-            assert stage0.pb_quot[b].class_count == 0
+            assert stage0.sizes_b[b] == 0
 
 
 def test_glue_edges_have_backtracking_shape(circle):
@@ -136,7 +147,7 @@ def test_stage_word_bijection_circle(circle):
     report = stage_word_bijection(stages, 2)
     assert report.ok
     b_words = report.word_maps[(2, Vertex("B", 0))]
-    assert sorted(format_word(circle, w) for w in b_words.values()) == [
+    assert sorted(format_word(circle, w) for w in b_words) == [
         ">s",
         ">s <t >s",
         ">t",
@@ -211,11 +222,87 @@ def test_stage_word_bijection_reports_structured_counterexample():
     # sabotage a backward bridge so the cocone over the next stage disagrees
     span = parse_span("A a\nB b\nS s a b\nS t a b\nbase a\n")
     stages = build_stages(span, 2)
-    broken = dict(stages[1].bwd_maps[0])
-    keys = list(broken)
-    if len(keys) >= 2:
-        broken[keys[0]], broken[keys[1]] = broken[keys[1]], broken[keys[0]]
-    stages[1].bwd_maps = (broken,) + stages[1].bwd_maps[1:]
+    broken = list(stages[1].bwd_maps[0])
+    if len(broken) >= 2:
+        broken[0], broken[1] = broken[1], broken[0]
+    stages[1] = dataclasses.replace(stages[1], bwd_maps=(tuple(broken),) + stages[1].bwd_maps[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
     assert report.failures
+
+
+def test_theta_stages_to_six(theta):
+    # fibers 2^(2n+1) - 1 / 2^(2n) - 1; every fiber's cells are its inl block
+    # plus one block per edge, and it glues each inl cell once per edge
+    depth = 6
+    stages = build_stages(theta, depth)
+    edges = theta.edges_at(Vertex("A", 0))
+    for n in range(1, depth + 1):
+        st, prev = stages[n], stages[n - 1]
+        assert st.sizes_a == (2 ** (2 * n + 1) - 1,)
+        assert st.sizes_b == (2 ** (2 * n) - 1,)
+        assert all(c == 0 for c in cycle_diagnostic(stages, n).values())
+        for vertex, class_of, left, block in (
+            (Vertex("A", 0), st.class_of_a[0], prev.sizes_a[0], st.sizes_b[0]),
+            (Vertex("B", 0), st.class_of_b[0], prev.sizes_b[0], prev.sizes_a[0]),
+        ):
+            assert len(class_of) == left + len(edges) * block
+            assert st.glue_count(vertex) == len(st.glue_edges(vertex)) == left * len(edges)
+    assert stage_word_bijection(stages, depth).ok
+
+
+def _decoded_cells(stages, n, vertex):
+    """Provenance-tagged cells of one fiber, in integer cell order."""
+    st, prev = stages[n], stages[n - 1]
+    span = st.span
+    edges = span.edges_at(vertex)
+    if vertex.side == "A":
+        left = prev.sizes_a[vertex.index]
+        blocks = [st.sizes_b[span.b_end(s)] for s in edges]
+    else:
+        left = prev.sizes_b[vertex.index]
+        blocks = [prev.sizes_a[span.a_end(s)] for s in edges]
+    cells = [("inl", p) for p in range(left)]
+    cells += [("inr", (s, q)) for s, size in zip(edges, blocks) for q in range(size)]
+    return cells
+
+
+def test_pushouts_match_quotient_set_of_decoded_glue():
+    # differential: each fiber's integer partition, numbering included, is the
+    # union-find quotient of its decoded cells under its decoded glue edges
+    rng = random.Random(11)
+    for _ in range(30):
+        span = checks.random_span(rng)
+        stages = build_stages(span, 3)
+        for n in range(1, 4):
+            st = stages[n]
+            for vertex in span.vertices():
+                cells = _decoded_cells(stages, n, vertex)
+                quot = QuotientSet(cells)
+                for x, y in st.glue_edges(vertex):
+                    quot.union(x, y)
+                ids = {rep: i for i, rep in enumerate(quot.representatives())}
+                class_of = st.class_of_a if vertex.side == "A" else st.class_of_b
+                assert tuple(ids[quot.find(c)] for c in cells) == class_of[vertex.index]
+
+
+def test_fold_rejects_merged_classes(theta):
+    # a class_of that merges classes 0 and 1 is not the pushout of the gluing span
+    stages = build_stages(theta, 2)
+    merged = tuple(max(c - 1, 0) for c in stages[2].class_of_a[0])
+    stages[2] = dataclasses.replace(stages[2], class_of_a=(merged,))
+    report = stage_word_bijection(stages, 2)
+    assert not report.ok
+    assert report.failures == ["stage 2 A fiber a: cocone not constant on class 0"]
+
+
+def test_fold_rejects_inconsistent_cocone(theta):
+    # a glue bridge that no longer backtracks makes the words of a glue pair disagree
+    stages = build_stages(theta, 2)
+    bridge = list(stages[2].glue_b[0])
+    bridge[0], bridge[1] = bridge[1], bridge[0]
+    stages[2] = dataclasses.replace(stages[2], glue_b=(tuple(bridge),) + stages[2].glue_b[1:])
+    report = stage_word_bijection(stages, 2)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("stage 2 B fiber b: inconsistent cocone")
