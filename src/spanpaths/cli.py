@@ -143,7 +143,8 @@ def _cmd_limit(args):
     for stage, rep in limit.representatives():
         entry = {"stage": stage}
         if report.ok:
-            entry["word"] = format_word(span, report.word_maps[(stage, endpoint)][rep])
+            node = report.word_maps[(stage, endpoint)][rep]
+            entry["word"] = format_word(span, report.tree.word(node))
         reps.append(entry)
     payload = {
         "command": "limit",

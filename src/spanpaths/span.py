@@ -56,6 +56,7 @@ class FiniteSpan:
     b_vertices: tuple
     edges: tuple
     basepoint: int
+    _incidence: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for sort, labels in (("A", self.a_vertices), ("B", self.b_vertices)):
@@ -75,6 +76,11 @@ class FiniteSpan:
                 raise SpanError("edge %r: B endpoint index %d out of range" % (label, b))
         if not 0 <= self.basepoint < len(self.a_vertices):
             raise SpanError("basepoint index %d out of range" % (self.basepoint,))
+        incidence = {v: [] for v in self.vertices()}
+        for s, (_label, a, b) in enumerate(self.edges):
+            incidence[Vertex("A", a)].append(s)
+            incidence[Vertex("B", b)].append(s)
+        object.__setattr__(self, "_incidence", {v: tuple(es) for v, es in incidence.items()})
 
     def a_end(self, s):
         """A-side endpoint index of edge ``s``."""
@@ -103,8 +109,7 @@ class FiniteSpan:
 
     def edges_at(self, v):
         """Indices of edges incident to ``v``, in declaration order."""
-        end = 1 if v.side == "A" else 2
-        return tuple(s for s, e in enumerate(self.edges) if e[end] == v.index)
+        return self._incidence.get(v, ())
 
     def lookup_vertex(self, name):
         """Resolve a vertex label to a Vertex.
@@ -225,16 +230,11 @@ class RealizedGraph:
 def realize(span):
     """Build the RealizedGraph of a span: |V| = |A| + |B|, |E| = |S|."""
     vertices = tuple(span.vertices())
-    incidence = {v: [] for v in vertices}
-    edge_ends = []
-    for s in range(len(span.edges)):
-        u = Vertex("A", span.a_end(s))
-        v = Vertex("B", span.b_end(s))
-        edge_ends.append((u, v))
-        incidence[u].append((s, v))
-        incidence[v].append((s, u))
-    incidence = {v: tuple(pairs) for v, pairs in incidence.items()}
-    return RealizedGraph(vertices, tuple(edge_ends), incidence)
+    edge_ends = tuple((Vertex("A", a), Vertex("B", b)) for _label, a, b in span.edges)
+    incidence = {
+        v: tuple((s, edge_ends[s][v.side == "A"]) for s in span.edges_at(v)) for v in vertices
+    }
+    return RealizedGraph(vertices, edge_ends, incidence)
 
 
 def component_of(graph, v):

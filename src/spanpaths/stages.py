@@ -25,19 +25,19 @@ dually for the backward bridge, so they are read off after each pushout.
 Provenance is decoded only where it is reported (glue_edges). Each stage
 keeps the bridges its gluing followed, so the identifications can be refolded
 (cogap_set) against independent data, most importantly the reduced-word
-model: stage_word_bijection labels every cell with a reduced word and checks
-that classes are exactly the words within the stage's length bound,
-naturally in all stage maps.
+model: stage_word_bijection labels every cell with a reduced word, as a
+node id of one words.WordTree, and checks that classes are exactly the words
+within the stage's length bound, naturally in all stage maps. The pushouts
+themselves (build_stages) read no word.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from .seqcolim import FinSeqDiagram, SeqZigzag, shift_diagram, truncate_diagram
 from .span import Vertex
-from .words import all_reduced_words, concat_bwd, concat_fwd, word_endpoint
+from .words import WordTree, word_tree
 
 
 def _offsets(left, blocks):
@@ -261,13 +261,15 @@ def cycle_diagnostic(stages, n):
 class BijectionReport:
     """Outcome of matching stage classes against the reduced-word model.
 
-    ``word_maps[(n, vertex)]`` is a tuple of words indexed by class id;
-    rows are (stage, vertex, classes, words, matched) per fiber. failures
-    holds structured counterexample descriptions, so ok means a full
-    bijection commuting with inclusion and both bridges.
+    ``word_maps[(n, vertex)]`` is a tuple of word-tree node ids indexed by
+    class id (``tree.word`` decodes one); rows are (stage, vertex, classes,
+    words, matched) per fiber. failures holds structured counterexample
+    descriptions, so ok means a full bijection commuting with inclusion and
+    both bridges.
     """
 
     max_stage: int
+    tree: WordTree
     word_maps: dict
     rows: list
     failures: list
@@ -280,118 +282,100 @@ class BijectionReport:
 def stage_word_bijection(stages, n):
     """Match stage classes with reduced words, stage by stage up to n.
 
-    Each cell is labelled with a word by folding the stage's gluing span
-    through cogap_set: included cells keep their previous word, bridged
-    cells concatenate a crossing. The report records, per fiber, whether the
+    Each cell is labelled with a word-tree node by folding the stage's gluing
+    span through cogap_set: included cells keep their previous node, bridged
+    cells step across their edge. The report records, per fiber, whether the
     class labelling is a bijection onto the words within the stage bound
     (2n on the A side, 2n - 1 on the B side) and whether it commutes with
-    inclusion and the bridge maps. Mismatches are reported, not raised.
-    The expected words come from one enumeration to length 2n, bucketed by
-    endpoint; canonical order is length-first, so each fiber's words are a
-    prefix of its bucket.
+    inclusion and the bridge maps. Mismatches are reported, not raised. One
+    tree of bound 2n serves every stage: canonical order is length-first, so
+    each fiber's words are a prefix of its endpoint's id list.
     """
+    if n >= len(stages):
+        raise ValueError("the bijection needs stages 0..%d, got 0..%d" % (n, len(stages) - 1))
     span = stages[0].span
     na, nb = len(span.a_vertices), len(span.b_vertices)
-    buckets = {v: [] for v in span.vertices()}
-    for w in all_reduced_words(span, 2 * n):
-        buckets[word_endpoint(span, w)].append(w)
+    tree = word_tree(span, 2 * n)
+    step = tree.step
     word_maps = {}
     rows = []
     failures = []
 
-    def check_fiber(stage, vertex, words, bound):
-        bucket = buckets[vertex]
-        expected = bucket[: bisect_right(bucket, bound, key=len)]
+    def check_fiber(stage, vertex, ids, bound):
+        expected = tree.nodes_at(vertex, bound)
         label = "stage %d %s fiber %s" % (stage, vertex.side, span.vertex_label(vertex))
-        word_set, expected_set = set(words), set(expected)
-        if len(word_set) != len(words):
+        id_set, expected_set = set(ids), set(expected)
+        if len(id_set) != len(ids):
             failures.append("%s: class labelling is not injective" % (label,))
-        matched = word_set == expected_set
+        matched = id_set == expected_set
         if not matched:
-            missing = [w for w in expected if w not in word_set]
-            extra = [w for w in words if w not in expected_set]
+            missing = [tree.word(x) for x in expected if x not in id_set]
+            extra = [tree.word(x) for x in ids if x not in expected_set]
             failures.append(
                 "%s: classes and words differ (missing %r, extra %r)"
                 % (label, missing, extra)
             )
-        rows.append((stage, vertex, len(words), len(expected), matched))
+        rows.append((stage, vertex, len(ids), len(expected), matched))
 
-    def fold(k, vtx, class_of, glue, other_words, other_end, concat):
+    def fold(k, vtx, class_of, glue, other_ids, other_end):
         # cells: the fiber's previous classes, then per edge the classes at its other end
         left = word_maps[(k - 1, vtx)]
         values = list(left)
         blocks = []
         for s in span.edges_at(vtx):
-            block = other_words[other_end(s)]
+            block = other_ids[other_end(s)]
             blocks.append((len(block), glue[s]))
-            values.extend(concat(span, w, s) for w in block)
+            values += [step(x, s) for x in block]
         try:
             word_maps[(k, vtx)] = cogap_set(class_of, len(left), blocks, values)
-        except ValueError as exc:
-            failures.append("stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc))
+        except ValueError:
+            # decoding is injective: the words fail the same way, in a message naming them
+            try:
+                cogap_set(class_of, len(left), blocks, [tree.word(x) for x in values])
+            except ValueError as exc:
+                failures.append(
+                    "stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc)
+                )
             return False
         return True
 
-    for a in range(na):
-        vtx = Vertex("A", a)
-        word_maps[(0, vtx)] = ((),) if a == span.basepoint else ()
-        check_fiber(0, vtx, word_maps[(0, vtx)], 0)
-    for b in range(nb):
-        vtx = Vertex("B", b)
-        word_maps[(0, vtx)] = ()
-        check_fiber(0, vtx, word_maps[(0, vtx)], -1)
+    def natural(src, images, dst, s, what):
+        # class p of src lands on class images[p] of dst, stepping across s unless None
+        for p, x in enumerate(src):
+            if dst[images[p]] != (x if s is None else step(x, s)):
+                failures.append("%s at class %d" % (what, p))
+
+    for v in span.vertices():
+        word_maps[(0, v)] = (0,) if v == span.base_vertex else ()
+        check_fiber(0, v, word_maps[(0, v)], 0 if v.side == "A" else -1)
     for k in range(1, n + 1):
-        st = stages[k]
-        a_words = [word_maps[(k - 1, Vertex("A", a))] for a in range(na)]
+        st, prev = stages[k], stages[k - 1]
+        a_ids = [word_maps[(k - 1, Vertex("A", a))] for a in range(na)]
         for b in range(nb):
             vtx = Vertex("B", b)
-            if not fold(k, vtx, st.class_of_b[b], st.glue_b, a_words, span.a_end, concat_fwd):
-                return BijectionReport(n, word_maps, rows, failures)
+            if not fold(k, vtx, st.class_of_b[b], st.glue_b, a_ids, span.a_end):
+                return BijectionReport(n, tree, word_maps, rows, failures)
             check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k - 1)
-        b_words = [word_maps[(k, Vertex("B", b))] for b in range(nb)]
+        b_ids = [word_maps[(k, Vertex("B", b))] for b in range(nb)]
         for a in range(na):
             vtx = Vertex("A", a)
-            if not fold(k, vtx, st.class_of_a[a], st.glue_a, b_words, span.b_end, concat_bwd):
-                return BijectionReport(n, word_maps, rows, failures)
+            if not fold(k, vtx, st.class_of_a[a], st.glue_a, b_ids, span.b_end):
+                return BijectionReport(n, tree, word_maps, rows, failures)
             check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k)
 
-        # naturality: inclusion preserves words, bridges concatenate crossings
-        for a in range(na):
-            vtx = Vertex("A", a)
-            for p, w in enumerate(word_maps[(k - 1, vtx)]):
-                if word_maps[(k, vtx)][st.incl_a[a][p]] != w:
-                    failures.append(
-                        "stage %d: A inclusion moves the word of class %d" % (k, p)
-                    )
-        for b in range(nb):
-            vtx = Vertex("B", b)
-            for p, w in enumerate(word_maps[(k - 1, vtx)]):
-                if word_maps[(k, vtx)][st.incl_b[b][p]] != w:
-                    failures.append(
-                        "stage %d: B inclusion moves the word of class %d" % (k, p)
-                    )
+        # naturality: inclusions keep words, bridges step across their edge
+        for v in span.vertices():
+            incl = st.incl_a[v.index] if v.side == "A" else st.incl_b[v.index]
+            natural(word_maps[(k - 1, v)], incl, word_maps[(k, v)], None,
+                    "stage %d: %s inclusion moves the word" % (k, v.side))
         for s in range(len(span.edges)):
-            src = Vertex("B", span.b_end(s))
-            dst = Vertex("A", span.a_end(s))
-            for q, w in enumerate(word_maps[(k, src)]):
-                if word_maps[(k, dst)][st.bwd_maps[s][q]] != concat_bwd(span, w, s):
-                    failures.append(
-                        "stage %d: backward bridge over %s breaks naturality at class %d"
-                        % (k, span.edge_label(s), q)
-                    )
-    # forward-bridge naturality needs both stages' words, so run it after the loop
-    for k in range(n):
-        for s in range(len(span.edges)):
-            src = Vertex("A", span.a_end(s))
-            dst = Vertex("B", span.b_end(s))
-            for p, w in enumerate(word_maps[(k, src)]):
-                image = stages[k].fwd_maps[s][p]
-                if word_maps[(k + 1, dst)][image] != concat_fwd(span, w, s):
-                    failures.append(
-                        "stage %d: forward bridge over %s breaks naturality at class %d"
-                        % (k, span.edge_label(s), p)
-                    )
-    return BijectionReport(n, word_maps, rows, failures)
+            a, b = Vertex("A", span.a_end(s)), Vertex("B", span.b_end(s))
+            label = span.edge_label(s)
+            natural(word_maps[(k, b)], st.bwd_maps[s], word_maps[(k, a)], s,
+                    "stage %d: backward bridge over %s breaks naturality" % (k, label))
+            natural(word_maps[(k - 1, a)], prev.fwd_maps[s], word_maps[(k, b)], s,
+                    "stage %d: forward bridge over %s breaks naturality" % (k - 1, label))
+    return BijectionReport(n, tree, word_maps, rows, failures)
 
 
 def stage_diagram(stages, vertex):

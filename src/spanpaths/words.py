@@ -10,7 +10,10 @@ by its length parity: even lands on the A side, odd on the B side.
 A word is *reduced* when no step immediately undoes the previous one, i.e.
 adjacent steps never cross the same edge. Reduced words are the normal forms
 for based paths in the realized graph, and they are what the staged pushout
-construction's colimit classes are matched against.
+construction's colimit classes are matched against. Consumers that walk many
+words use a WordTree, which stores the reduced words within a bound as
+integer nodes in canonical order; tuple words are what parse, format and
+reports use.
 
 Text syntax: ``refl``, or a whitespace separated list like ``>s <t >s``
 (``>`` forward, ``<`` backward, followed by the edge label).
@@ -18,6 +21,8 @@ Text syntax: ``refl``, or a whitespace separated list like ``>s <t >s``
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .span import Vertex
@@ -32,7 +37,7 @@ class Step(NamedTuple):
 
 
 class WordError(ValueError):
-    """A structurally invalid word, or a concatenation endpoint mismatch."""
+    """A structurally invalid word, or an unknown endpoint."""
 
 
 def validate_word(span, word):
@@ -41,28 +46,21 @@ def validate_word(span, word):
     Reducedness is not required; this is the precondition shared by reduce
     and the parser. Raises WordError pointing at the first bad step.
     """
-    at = span.base_vertex
+    at = span.basepoint  # index of the current vertex; its side alternates from A
     for i, step in enumerate(word):
-        expected = FWD if i % 2 == 0 else BWD
-        if step.direction != expected:
+        forward = i % 2 == 0
+        if step.direction != (FWD if forward else BWD):
             raise WordError("step %d: directions must alternate starting forward" % (i,))
         if not 0 <= step.edge < len(span.edges):
             raise WordError("step %d: edge index %d out of range" % (i, step.edge))
-        label = span.edge_label(step.edge)
-        if step.direction == FWD:
-            if at != Vertex("A", span.a_end(step.edge)):
-                raise WordError(
-                    "step %d: edge %r does not start at %s"
-                    % (i, label, span.vertex_label(at))
-                )
-            at = Vertex("B", span.b_end(step.edge))
-        else:
-            if at != Vertex("B", span.b_end(step.edge)):
-                raise WordError(
-                    "step %d: edge %r does not end at %s"
-                    % (i, label, span.vertex_label(at))
-                )
-            at = Vertex("A", span.a_end(step.edge))
+        label, a, b = span.edges[step.edge]
+        if (a if forward else b) != at:
+            raise WordError(
+                "step %d: edge %r does not %s at %s"
+                % (i, label, "start" if forward else "end",
+                   span.vertex_label(Vertex("A" if forward else "B", at)))
+            )
+        at = b if forward else a
 
 
 def is_reduced(word):
@@ -80,14 +78,8 @@ def word_endpoint(span, word):
     return Vertex("A", span.a_end(last.edge))
 
 
-def reduce_word(span, word):
-    """Normal form of a possibly backtracking word.
-
-    Deletes adjacent inverse pairs until none remain; the result is the
-    unique reduced word with the same endpoint. Raises WordError on words
-    violating alternation or endpoint matching.
-    """
-    validate_word(span, word)
+def _cancel_pairs(word):
+    # delete adjacent inverse pairs left to right with a stack
     out = []
     for step in word:
         if out and out[-1].edge == step.edge and out[-1].direction != step.direction:
@@ -97,13 +89,8 @@ def reduce_word(span, word):
     return tuple(out)
 
 
-def reduce_word_rightmost(span, word):
-    """Normal form computed by repeatedly deleting the rightmost inverse pair.
-
-    A deliberately different strategy from reduce_word, kept for the
-    confluence check; both must agree on every input.
-    """
-    validate_word(span, word)
+def _cancel_rightmost(word):
+    # delete the rightmost adjacent inverse pair until none remains
     steps = list(word)
     while True:
         for i in range(len(steps) - 2, -1, -1):
@@ -115,41 +102,114 @@ def reduce_word_rightmost(span, word):
     return tuple(steps)
 
 
-def concat_fwd(span, word, s):
-    """Append a forward crossing of edge ``s`` to a reduced word and renormalize.
+def reduce_word(span, word):
+    """Normal form of a possibly backtracking word.
 
-    The word must end at the edge's A end. Appending either cancels a final
-    backward crossing of the same edge or extends the word by one step, so
-    the length changes by exactly one.
+    Deletes adjacent inverse pairs until none remain; the result is the
+    unique reduced word with the same endpoint. Raises WordError on words
+    violating alternation or endpoint matching.
     """
-    if word_endpoint(span, word) != Vertex("A", span.a_end(s)):
-        raise WordError(
-            "word ends at %s, not at the A end of edge %r"
-            % (span.vertex_label(word_endpoint(span, word)), span.edge_label(s))
-        )
-    if word and word[-1] == Step(BWD, s):
-        return word[:-1]
-    return word + (Step(FWD, s),)
+    validate_word(span, word)
+    return _cancel_pairs(word)
 
 
-def concat_bwd(span, word, s):
-    """Append a backward crossing of edge ``s``; dual to concat_fwd."""
-    if word_endpoint(span, word) != Vertex("B", span.b_end(s)):
-        raise WordError(
-            "word ends at %s, not at the B end of edge %r"
-            % (span.vertex_label(word_endpoint(span, word)), span.edge_label(s))
-        )
-    if word and word[-1] == Step(FWD, s):
-        return word[:-1]
-    return word + (Step(BWD, s),)
+def reduce_word_rightmost(span, word):
+    """Normal form computed by repeatedly deleting the rightmost inverse pair.
+
+    A deliberately different strategy from reduce_word, kept for the
+    confluence check; both must agree on every input.
+    """
+    validate_word(span, word)
+    return _cancel_rightmost(word)
 
 
-def _extensions(span, word):
-    # reduced one-step extensions in canonical order (edge declaration order)
-    at = word_endpoint(span, word)
-    last = word[-1].edge if word else None
-    direction = FWD if at.side == "A" else BWD
-    return [Step(direction, s) for s in span.edges_at(at) if s != last]
+class WordTree:
+    """The reduced words of length <= ``bound`` as integer nodes.
+
+    These words are the radius-``bound`` ball of the universal cover of the
+    realized graph around the basepoint (Serre, *Trees*, I.2). Nodes are
+    built breadth first with children in edge order, so a node's id is its
+    word's canonical rank, and the nodes of depth <= L are exactly the ids
+    ``0..size(L) - 1`` for every L <= bound. Node 0 is refl. ``parent``,
+    ``last_edge`` (the edge of the last step, -1 at refl), ``end`` (the
+    endpoint Vertex) and ``depth`` (the length) are lists indexed by id;
+    ``at[v]`` lists the ids of the words ending at v in canonical order.
+    """
+
+    def __init__(self, span, bound):
+        ne = len(span.edges)
+        to_b = [Vertex("B", span.b_end(s)) for s in range(ne)]
+        to_a = [Vertex("A", span.a_end(s)) for s in range(ne)]
+        self.span, self.bound, self._ne = span, bound, ne
+        self.parent = parent = [-1]
+        self.last_edge = last = [-1]
+        self.end = end = [span.base_vertex]
+        self.depth = depth = [0]
+        self._nbr = nbr = [None] * ne  # node * |S| + s -> the node across edge s
+        self._steps = ([Step(FWD, s) for s in range(ne)], [Step(BWD, s) for s in range(ne)])
+        start = 0
+        for d in range(1, bound + 1):
+            stop = len(parent)
+            pairs = [
+                (x, s) for x in range(start, stop) for s in span.edges_at(end[x]) if s != last[x]
+            ]
+            far = to_b if d % 2 else to_a  # odd depths end on the B side
+            nbr += [None] * (ne * len(pairs))
+            for child, (x, s) in enumerate(pairs, stop):
+                nbr[x * ne + s] = child
+                nbr[child * ne + s] = x
+            parent += [x for x, _ in pairs]
+            last += [s for _, s in pairs]
+            end += [far[s] for _, s in pairs]
+            depth += [d] * len(pairs)
+            start = stop
+        self.at = {v: [] for v in span.vertices()}
+        for x, v in enumerate(end):
+            self.at[v].append(x)
+
+    def size(self, bound):
+        """Number of nodes of depth <= ``bound``, for any bound up to the tree's own."""
+        return bisect_right(self.depth, bound)
+
+    def step(self, node, s):
+        """The node reached by crossing edge ``s`` from ``node``'s endpoint.
+
+        The parent when the node's last step crossed s (cancellation), else
+        the child across s; None when that child lies beyond the bound or s
+        is not at the endpoint.
+        """
+        return self._nbr[node * self._ne + s]
+
+    def nodes_at(self, vertex, bound):
+        """Ids of the words to ``vertex`` of length <= ``bound``, in canonical order."""
+        ids = self.at[vertex]
+        return ids[: bisect_left(ids, self.size(bound))]
+
+    def word(self, node):
+        """Decode a node id to its tuple word."""
+        steps = []
+        while node > 0:
+            steps.append(self._steps[1 - self.depth[node] % 2][self.last_edge[node]])
+            node = self.parent[node]
+        return tuple(reversed(steps))
+
+
+_last_tree = None  # a weak reference to the last tree built
+
+
+def word_tree(span, bound):
+    """A WordTree of ``span`` whose bound is at least ``bound``.
+
+    The last tree built is found again (for its span object and any bound up
+    to its own) while a caller holds it, so callees share their caller's tree
+    (run_all holds one for all its suites) and no tree outlives its users.
+    """
+    global _last_tree
+    tree = _last_tree() if _last_tree else None
+    if tree is None or tree.span is not span or tree.bound < bound:
+        tree = WordTree(span, max(bound, 0))
+        _last_tree = weakref.ref(tree)
+    return tree
 
 
 def all_reduced_words(span, max_len):
@@ -158,20 +218,8 @@ def all_reduced_words(span, max_len):
     Canonical order is (length, lexicographic step sequence under edge
     declaration order). A negative bound yields the empty list.
     """
-    if max_len < 0:
-        return []
-    words = [()]
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for word in frontier:
-            for step in _extensions(span, word):
-                nxt.append(word + (step,))
-        frontier = nxt
-        words.extend(frontier)
-        if not frontier:
-            break
-    return words
+    tree = word_tree(span, max_len)
+    return [tree.word(x) for x in range(tree.size(max_len))]
 
 
 def enumerate_words(span, endpoint, max_len):
@@ -183,7 +231,8 @@ def enumerate_words(span, endpoint, max_len):
     labels = span.a_vertices if endpoint.side == "A" else span.b_vertices
     if endpoint.side not in ("A", "B") or not 0 <= endpoint.index < len(labels):
         raise WordError("unknown endpoint %r" % (endpoint,))
-    return [w for w in all_reduced_words(span, max_len) if word_endpoint(span, w) == endpoint]
+    tree = word_tree(span, max_len)
+    return [tree.word(x) for x in tree.nodes_at(endpoint, max_len)]
 
 
 def parse_word(span, text):

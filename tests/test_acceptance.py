@@ -24,9 +24,8 @@ from spanpaths.seqcolim import direct_limit, zigzag_equivalence
 from spanpaths.span import Vertex, component_of, realize
 from spanpaths.stages import build_stages, construction_zigzag, stage_diagram, stage_word_bijection
 from spanpaths.words import (
+    WordTree,
     all_reduced_words,
-    concat_bwd,
-    concat_fwd,
     enumerate_words,
     is_reduced,
     reduce_word,
@@ -83,13 +82,10 @@ def test_criterion_3_oracle_equivalence(corpus):
 def test_criterion_4_zigzag_equivalence(corpus):
     ok = True
     for span in corpus.values():
-        for word in all_reduced_words(span, 8):
-            end = word_endpoint(span, word)
-            for s in span.edges_at(end):
-                if end.side == "A":
-                    ok = ok and concat_bwd(span, concat_fwd(span, word, s), s) == word
-                else:
-                    ok = ok and concat_fwd(span, concat_bwd(span, word, s), s) == word
+        tree = WordTree(span, 9)
+        for x, word in enumerate(all_reduced_words(span, 8)):
+            for s in span.edges_at(word_endpoint(span, word)):
+                ok = ok and tree.step(tree.step(x, s), s) == x
         stages = build_stages(span, 5)
         for s in range(len(span.edges)):
             result = zigzag_equivalence(construction_zigzag(stages, s))
@@ -113,8 +109,8 @@ def test_criterion_5_identity_system(corpus):
         # negative control: a single flipped value must be detected
         fam = build_family(span, bound, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
         section = elim_section(fam, 0)
-        target = all_reduced_words(span, bound - 1)[-1]
-        corrupted = dict(section.values)
+        target = len(all_reduced_words(span, bound - 1)) - 1  # node ids are canonical ranks
+        corrupted = list(section.values)
         corrupted[target] ^= 1
         bad = Section(fam, corrupted)
         ok = ok and not check_computation(fam, 0, bad).ok

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from spanpaths import checks
+
 from spanpaths.idsys import (
     DescentFamily,
     Section,
@@ -24,7 +26,7 @@ T_EDGE = 1  # the circle's second edge, the counted one in the worked examples
 def test_trivial_family_has_unique_section(circle):
     fam = trivial_family(circle, 4)
     section = elim_section(fam, 0)
-    assert set(section.values.values()) == {0}
+    assert set(section.values) == {0}
     assert check_computation(fam, 0, section).ok
     assert uniqueness_check(fam, 0, section).ok
 
@@ -32,9 +34,10 @@ def test_trivial_family_has_unique_section(circle):
 def test_winding_family_counts_signed_crossings(circle):
     fam = winding_family(circle, 6, T_EDGE)
     section = elim_section(fam, 0)
-    assert section.values[parse_word(circle, ">s <t")] == -1
-    assert section.values[parse_word(circle, ">t <s")] == 1
-    assert section.values[parse_word(circle, ">t <s >t <s")] == 2
+    rank = all_reduced_words(circle, 6).index  # node ids are canonical ranks
+    assert section.values[rank(parse_word(circle, ">s <t"))] == -1
+    assert section.values[rank(parse_word(circle, ">t <s"))] == 1
+    assert section.values[rank(parse_word(circle, ">t <s >t <s"))] == 2
     assert check_computation(fam, 0, section).ok
     assert uniqueness_check(fam, 0, section).ok
 
@@ -42,7 +45,7 @@ def test_winding_family_counts_signed_crossings(circle):
 def test_parity_family_counts_crossings_mod_two(circle):
     fam = parity_family(circle, 6, T_EDGE)
     section = elim_section(fam, 0)
-    for word, value in section.values.items():
+    for word, value in zip(all_reduced_words(circle, 6), section.values, strict=True):
         t_crossings = sum(1 for step in word if step.edge == T_EDGE)
         assert value == t_crossings % 2
     assert check_computation(fam, 0, section).ok
@@ -51,12 +54,13 @@ def test_parity_family_counts_crossings_mod_two(circle):
 def test_fold_visits_each_word_exactly_once(theta):
     fam = trivial_family(theta, 4)
     section = elim_section(fam, 0)
+    tree = fam.skeleton.tree
     words = all_reduced_words(theta, 4)
-    assert set(section.values) == set(words)
+    assert {tree.word(x) for x in range(len(section.values))} == set(words)
     assert len(section.values) == len(words)
-    for word in words:
+    for x, word in enumerate(words):
         if word:
-            assert word[:-1] in section.values  # unique reduced predecessor
+            assert tree.word(tree.parent[x]) == word[:-1]  # unique reduced predecessor
 
 
 def test_elim_rejects_bad_base_value(circle):
@@ -75,8 +79,8 @@ def test_elim_reports_window_too_small(circle):
 def test_check_computation_flags_corruption(circle):
     fam = parity_family(circle, 6, T_EDGE)
     section = elim_section(fam, 0)
-    corrupted = dict(section.values)
-    target = parse_word(circle, ">t")
+    corrupted = list(section.values)
+    target = all_reduced_words(circle, 6).index(parse_word(circle, ">t"))
     corrupted[target] ^= 1
     report = check_computation(fam, 0, Section(fam, corrupted))
     assert not report.ok
@@ -87,8 +91,9 @@ def test_check_computation_covers_cancellation_case(circle):
     # value tables where the backward case was folded wrongly must be caught
     fam = winding_family(circle, 4, T_EDGE)
     section = elim_section(fam, 0)
-    corrupted = dict(section.values)
-    target = parse_word(circle, ">s <t")  # reached through the inverse transition
+    corrupted = list(section.values)
+    # reached through the inverse transition
+    target = all_reduced_words(circle, 4).index(parse_word(circle, ">s <t"))
     corrupted[target] = corrupted[target] + 1
     report = check_computation(fam, 0, Section(fam, corrupted))
     assert not report.ok
@@ -97,13 +102,13 @@ def test_check_computation_covers_cancellation_case(circle):
 def test_uniqueness_against_independent_scan(circle):
     # rebuild the winding section by direct inspection of each word
     fam = winding_family(circle, 6, T_EDGE)
-    values = {}
+    values = []  # indexed by node id, which is the canonical rank
     for word in all_reduced_words(circle, 6):
         signed = 0
         for step in word:
             if step.edge == T_EDGE:
                 signed += 1 if step.direction == FWD else -1
-        values[word] = signed
+        values.append(signed)
     section = Section(fam, values)
     assert check_computation(fam, 0, section).ok
     assert uniqueness_check(fam, 0, section).ok
@@ -112,8 +117,8 @@ def test_uniqueness_against_independent_scan(circle):
 def test_uniqueness_reports_first_disagreement(circle):
     fam = parity_family(circle, 5, T_EDGE)
     section = elim_section(fam, 0)
-    corrupted = dict(section.values)
-    target = parse_word(circle, ">s <t >s")
+    corrupted = list(section.values)
+    target = all_reduced_words(circle, 5).index(parse_word(circle, ">s <t >s"))
     corrupted[target] ^= 1
     report = uniqueness_check(fam, 0, Section(fam, corrupted))
     assert not report.ok
@@ -150,10 +155,11 @@ def test_encode_decode_theta_closed_form(theta, bound):
 
 def test_word_family_transitions_are_concatenation(circle):
     fam = word_family(circle, 4)
-    for (s, w), (fwd, inv) in fam.transitions.items():
+    word = fam.skeleton.tree.word
+    for (s, _x), (fwd, inv) in fam.transitions.items():
         for value, image in fwd.items():
             assert inv[image] == value
-            assert len(image) in (len(value) - 1, len(value) + 1)
+            assert len(word(image)) in (len(word(value)) - 1, len(word(value)) + 1)
 
 
 def test_word_family_shares_one_pair_per_edge(theta):
@@ -182,8 +188,8 @@ def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
 
 def test_family_validation_rejects_missing_fiber(circle):
     fam = trivial_family(circle, 3)
-    fibers = dict(fam.fibers)
-    fibers.pop(parse_word(circle, ">s"))
+    fibers = list(fam.fibers)
+    del fibers[all_reduced_words(circle, 3).index(parse_word(circle, ">s"))]
     with pytest.raises(ValueError, match="fiber table"):
         DescentFamily(circle, 3, fibers, fam.transitions)
 
@@ -191,7 +197,7 @@ def test_family_validation_rejects_missing_fiber(circle):
 def test_family_validation_rejects_non_bijection(circle):
     fam = parity_family(circle, 3, T_EDGE)
     transitions = dict(fam.transitions)
-    key = (0, ())
+    key = (0, 0)  # edge s from refl, node 0
     transitions[key] = ({0: 0, 1: 0}, {0: 0})
     with pytest.raises(ValueError, match="not bijective"):
         DescentFamily(circle, 3, fam.fibers, transitions)
@@ -200,7 +206,7 @@ def test_family_validation_rejects_non_bijection(circle):
 def test_family_validation_rejects_escaping_values(circle):
     fam = parity_family(circle, 3, T_EDGE)
     transitions = dict(fam.transitions)
-    transitions[(0, ())] = ({0: 5, 1: 1}, {5: 0, 1: 1})
+    transitions[(0, 0)] = ({0: 5, 1: 1}, {5: 0, 1: 1})
     with pytest.raises(ValueError, match="leaves the fibers"):
         DescentFamily(circle, 3, fam.fibers, transitions)
 
@@ -217,7 +223,27 @@ def test_random_families_fold_coherently(corpus):
 
 def test_build_family_on_edgeless_span(coproduct):
     fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
-    assert set(fam.fibers) == {()}
+    assert len(fam.fibers) == 1  # refl alone
     assert fam.transitions == {}
     section = elim_section(fam, 1)
-    assert section.values == {(): 1}
+    assert section.values == [1]
+
+
+def test_idsys_suite_families_share_one_skeleton(theta, monkeypatch):
+    skeletons = []
+    post_init = DescentFamily.__post_init__
+
+    def recording_post_init(fam):
+        post_init(fam)
+        skeletons.append(fam.skeleton)
+
+    monkeypatch.setattr(DescentFamily, "__post_init__", recording_post_init)
+    assert all(result.ok for result in checks.idsys_suite(theta, bound=5))
+    assert len(skeletons) == 2 * len(theta.edges) + 5
+    assert all(sk is skeletons[0] for sk in skeletons)
+
+
+def test_section_needs_one_value_per_word(circle):
+    fam = trivial_family(circle, 3)
+    with pytest.raises(ValueError, match="one value per word"):
+        Section(fam, [0, 0])

@@ -139,8 +139,8 @@ def test_bridge_morphism_on_circle(circle):
     lim_left = direct_limit(z.left)
     refl_class = lim_left.find((0, 0))  # refl is class 0 of stage 0
     stage, cell = mapping[refl_class]
-    word = report.word_maps[(stage + 1, Vertex("B", 0))][cell]  # right side is shifted by one
-    assert word == (Step(FWD, 0),)
+    node = report.word_maps[(stage + 1, Vertex("B", 0))][cell]  # right side is shifted by one
+    assert report.tree.word(node) == (Step(FWD, 0),)
 
 
 def test_half_shift_identity_zigzag():

@@ -15,7 +15,7 @@ from spanpaths.stages import (
     stage_diagram,
     stage_word_bijection,
 )
-from spanpaths.words import concat_bwd, enumerate_words, format_word
+from spanpaths.words import enumerate_words, format_word
 
 # (left, blocks) gluing spans: x is inl cell 0 and y the one cell of a block
 COPRODUCT = (0, ((1, ()), (1, ())))  # x and y both bridged, nothing glued
@@ -88,11 +88,12 @@ def test_cogap_words_on_circle_stage(circle):
     stages = build_stages(circle, 1)
     st = stages[1]
     edges = circle.edges_at(Vertex("A", 0))
-    b_words = stage_word_bijection(stages, 1).word_maps[(1, Vertex("B", 0))]
+    report = stage_word_bijection(stages, 1)
+    b_words = report.word_maps[(1, Vertex("B", 0))]
     blocks = [(len(b_words), st.glue_a[s]) for s in edges]
-    values = [()] + [concat_bwd(circle, w, s) for s in edges for w in b_words]
+    values = [0] + [report.tree.step(x, s) for s in edges for x in b_words]
     mapping = cogap_set(st.class_of_a[0], 1, blocks, values)
-    assert sorted(format_word(circle, w) for w in mapping) == [
+    assert sorted(format_word(circle, report.tree.word(x)) for x in mapping) == [
         ">s <t",
         ">t <s",
         "refl",
@@ -147,7 +148,7 @@ def test_stage_word_bijection_circle(circle):
     report = stage_word_bijection(stages, 2)
     assert report.ok
     b_words = report.word_maps[(2, Vertex("B", 0))]
-    assert sorted(format_word(circle, w) for w in b_words) == [
+    assert sorted(format_word(circle, report.tree.word(x)) for x in b_words) == [
         ">s",
         ">s <t >s",
         ">t",
@@ -207,7 +208,7 @@ def test_colimit_agrees_with_enumeration(circle):
             labels = {report.word_maps[(k, vertex)][x] for k, x in cls}
             assert len(labels) == 1  # inclusion-compatible labelling
             words |= labels
-        assert words == set(enumerate_words(circle, vertex, bound))
+        assert {report.tree.word(x) for x in words} == set(enumerate_words(circle, vertex, bound))
 
 
 def test_construction_zigzag_triangles_hold(corpus):
@@ -306,3 +307,8 @@ def test_fold_rejects_inconsistent_cocone(theta):
     assert not report.ok
     assert len(report.failures) == 1
     assert report.failures[0].startswith("stage 2 B fiber b: inconsistent cocone")
+
+
+def test_stage_word_bijection_past_the_built_stages(theta):
+    with pytest.raises(ValueError, match=r"needs stages 0\.\.3, got 0\.\.2"):
+        stage_word_bijection(build_stages(theta, 2), 3)

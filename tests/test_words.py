@@ -3,15 +3,15 @@ import random
 import pytest
 
 from spanpaths import checks
-from spanpaths.span import Vertex
+from spanpaths.oracle import nbt_walks
+from spanpaths.span import Vertex, realize
 from spanpaths.words import (
     BWD,
     FWD,
     Step,
     WordError,
+    WordTree,
     all_reduced_words,
-    concat_bwd,
-    concat_fwd,
     enumerate_words,
     format_word,
     is_reduced,
@@ -63,23 +63,30 @@ def test_endpoint_examples(circle):
     assert word_endpoint(circle, w((FWD, S), (BWD, T))) == Vertex("A", 0)
 
 
+def crossing(span, word, s):
+    # WordTree.step is the one-crossing concatenation; node ids are canonical ranks
+    tree = WordTree(span, len(word) + 1)
+    return tree.word(tree.step(all_reduced_words(span, len(word)).index(word), s))
+
+
 def test_concat_fwd_examples(circle):
-    assert concat_fwd(circle, (), S) == w((FWD, S))
-    assert concat_fwd(circle, w((FWD, S), (BWD, T)), T) == w((FWD, S))
-    assert concat_fwd(circle, w((FWD, S), (BWD, T)), S) == w((FWD, S), (BWD, T), (FWD, S))
+    assert crossing(circle, (), S) == w((FWD, S))
+    assert crossing(circle, w((FWD, S), (BWD, T)), T) == w((FWD, S))
+    assert crossing(circle, w((FWD, S), (BWD, T)), S) == w((FWD, S), (BWD, T), (FWD, S))
 
 
 def test_concat_bwd_examples(circle, interval):
-    assert concat_bwd(circle, w((FWD, S)), S) == ()
-    assert concat_bwd(circle, w((FWD, S)), T) == w((FWD, S), (BWD, T))
-    assert concat_bwd(interval, w((FWD, S)), S) == ()
+    assert crossing(circle, w((FWD, S)), S) == ()
+    assert crossing(circle, w((FWD, S)), T) == w((FWD, S), (BWD, T))
+    assert crossing(interval, w((FWD, S)), S) == ()
 
 
-def test_concat_endpoint_mismatch(circle):
-    with pytest.raises(WordError, match="not at the A end"):
-        concat_fwd(circle, w((FWD, S)), T)
-    with pytest.raises(WordError, match="not at the B end"):
-        concat_bwd(circle, (), S)
+def test_step_off_the_endpoint_has_no_node(tree4):
+    tree = WordTree(tree4, 3)
+    assert tree.step(0, 2) is None  # s3 does not start at the basepoint a1
+    at_b1 = tree.step(0, 0)
+    assert tree.word(at_b1) == w((FWD, 0))
+    assert tree.step(at_b1, 1) is None  # s2 does not end at b1
 
 
 def test_enumerate_circle(circle):
@@ -126,13 +133,10 @@ def test_enumerate_window_monotone(theta):
 
 def test_mutual_inverse(corpus):
     for span in corpus.values():
-        for word in all_reduced_words(span, 6):
-            end = word_endpoint(span, word)
-            for s in span.edges_at(end):
-                if end.side == "A":
-                    assert concat_bwd(span, concat_fwd(span, word, s), s) == word
-                else:
-                    assert concat_fwd(span, concat_bwd(span, word, s), s) == word
+        tree = WordTree(span, 7)
+        for x, word in enumerate(all_reduced_words(span, 6)):
+            for s in span.edges_at(word_endpoint(span, word)):
+                assert tree.step(tree.step(x, s), s) == x
 
 
 def test_parity(corpus):
@@ -159,8 +163,8 @@ def test_confluence_on_random_words(corpus):
 
 def test_reduce_confluence_check_catches_a_collapsing_reducer(circle, monkeypatch):
     # both strategies agree and return a reduced word, yet lose the endpoint
-    monkeypatch.setattr(checks, "reduce_word", lambda span, w: ())
-    monkeypatch.setattr(checks, "reduce_word_rightmost", lambda span, w: ())
+    monkeypatch.setattr(checks, "_cancel_pairs", lambda w: ())
+    monkeypatch.setattr(checks, "_cancel_rightmost", lambda w: ())
     rows = {r.name: r for r in checks.word_suite(circle)}
     assert not rows["words.reduce-confluence"].ok
 
@@ -192,3 +196,70 @@ def test_parse_word_errors(circle, text, message):
 
 def test_all_reduced_words_negative_bound(circle):
     assert all_reduced_words(circle, -1) == []
+
+
+def test_tree_matches_the_oracle_walks_on_random_spans():
+    # nbt_walks shares no logic with the tree: same walks, same canonical order
+    rng = random.Random(5)
+    for _ in range(30):
+        span = checks.random_span(rng)
+        tree = WordTree(span, 6)
+        graph = realize(span)
+        for v in span.vertices():
+            walks = nbt_walks(graph, span.base_vertex, v, 6)
+            decoded = [tree.word(x) for x in tree.at[v]]
+            assert [tuple(step.edge for step in word) for word in decoded] == [
+                walk.edges for walk in walks
+            ]
+            assert [tree.depth[x] for x in tree.at[v]] == [len(walk.edges) for walk in walks]
+
+
+def test_tree_restricted_to_a_smaller_bound_is_that_tree(corpus):
+    for span in corpus.values():
+        big = WordTree(span, 6)
+        for bound in range(6):
+            small = WordTree(span, bound)
+            n = big.size(bound)
+            assert n == len(small.parent)
+            assert big.parent[:n] == small.parent
+            assert big.last_edge[:n] == small.last_edge
+            assert big.end[:n] == small.end
+            assert big.depth[:n] == small.depth
+            for v in span.vertices():
+                assert big.nodes_at(v, bound) == small.at[v]
+            for x in range(n):
+                for s in range(len(span.edges)):
+                    y = big.step(x, s)
+                    assert small.step(x, s) == (y if y is not None and y < n else None)
+
+
+def test_step_back_undoes_step_and_stops_at_the_bound(corpus):
+    bound = 5
+    for span in corpus.values():
+        tree = WordTree(span, bound)
+        for x in range(len(tree.parent)):
+            for s in span.edges_at(tree.end[x]):
+                y = tree.step(x, s)
+                if tree.depth[x] == bound and tree.last_edge[x] != s:
+                    assert y is None
+                else:
+                    assert tree.step(y, s) == x
+
+
+def test_theta_tree_has_three_times_two_to_the_bound_minus_two_nodes(theta):
+    for bound in range(9):
+        tree = WordTree(theta, bound)
+        assert len(tree.parent) == tree.size(bound) == 3 * 2**bound - 2
+
+
+def test_run_all_builds_one_word_tree(theta, monkeypatch):
+    built = []
+    init = WordTree.__init__
+
+    def counting_init(tree, span, bound):
+        built.append(bound)
+        init(tree, span, bound)
+
+    monkeypatch.setattr(WordTree, "__init__", counting_init)
+    checks.run_all(theta, with_oracle=True)
+    assert built == [8]
