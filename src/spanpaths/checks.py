@@ -63,22 +63,34 @@ def _result(name, failures, detail_ok=""):
 # ---------------------------------------------------------------- words
 
 
-def random_unreduced_word(span, rng, max_len=12):
-    """A structurally valid, possibly backtracking word from the basepoint."""
+def _move_table(span):
+    # vertex -> ((Step, far Vertex), ...) in edges_at order, each Step built once
+    table = {}
+    for v in span.vertices():
+        if v.side == "A":
+            table[v] = tuple((Step(FWD, s), Vertex("B", span.b_end(s))) for s in span.edges_at(v))
+        else:
+            table[v] = tuple((Step(BWD, s), Vertex("A", span.a_end(s))) for s in span.edges_at(v))
+    return table
+
+
+def _random_walk(table, start, rng, max_len):
+    # the steps of a random walk from start, and where it stops
     word = []
-    at = span.base_vertex
+    at = start
+    choice = rng.choice
     for _ in range(rng.randint(0, max_len)):
-        options = span.edges_at(at)
+        options = table[at]
         if not options:
             break
-        s = rng.choice(options)
-        if at.side == "A":
-            word.append(Step(FWD, s))
-            at = Vertex("B", span.b_end(s))
-        else:
-            word.append(Step(BWD, s))
-            at = Vertex("A", span.a_end(s))
-    return tuple(word)
+        step, at = choice(options)
+        word.append(step)
+    return tuple(word), at
+
+
+def random_unreduced_word(span, rng, max_len=12):
+    """A structurally valid, possibly backtracking word from the basepoint."""
+    return _random_walk(_move_table(span), span.base_vertex, rng, max_len)[0]
 
 
 def word_suite(span, max_len=8, seed=0, samples=1000):
@@ -96,7 +108,7 @@ def word_suite(span, max_len=8, seed=0, samples=1000):
 
     failures = []
     for x, w in enumerate(words):
-        for s in span.edges_at(word_endpoint(span, w)):
+        for s in span.edges_at(tree.end[x]):
             y = tree.step(x, s)
             if y is not None and tree.step(y, s) != x:
                 label = span.edge_label(s)
@@ -111,9 +123,19 @@ def word_suite(span, max_len=8, seed=0, samples=1000):
             failures.append("window at %d is not monotone" % length)
     results.append(_result("words.window-monotone", failures))
 
+    # a sample is a pure function of its steps, so each distinct one is checked
+    # once; a normal form's endpoint is read off the table, not word_endpoint,
+    # so this check and words.parity test different code
     failures = []
+    table = _move_table(span)
+    far = {step: v for options in table.values() for step, v in options}
+    base = span.base_vertex
+    seen = set()
     for _ in range(samples):
-        raw = random_unreduced_word(span, rng)
+        raw, end = _random_walk(table, base, rng, 12)
+        if raw in seen:
+            continue
+        seen.add(raw)
         validate_word(span, raw)
         left = _cancel_pairs(raw)
         right = _cancel_rightmost(raw)
@@ -121,7 +143,7 @@ def word_suite(span, max_len=8, seed=0, samples=1000):
             failures.append("strategies disagree on %s" % format_word(span, raw))
         if not is_reduced(left):
             failures.append("normal form of %s is not reduced" % format_word(span, raw))
-        if word_endpoint(span, left) != word_endpoint(span, raw):
+        if (far.get(left[-1]) if left else base) != end:
             failures.append("normal form of %s moves the endpoint" % format_word(span, raw))
         if (len(raw) - len(left)) % 2:
             failures.append("normal form of %s drops an odd step count" % format_word(span, raw))

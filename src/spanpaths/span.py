@@ -57,6 +57,7 @@ class FiniteSpan:
     edges: tuple
     basepoint: int
     _incidence: dict = field(init=False, repr=False, compare=False)
+    _edge_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for sort, labels in (("A", self.a_vertices), ("B", self.b_vertices)):
@@ -65,11 +66,11 @@ class FiniteSpan:
                 if lab in seen:
                     raise SpanError("duplicate %s label %r" % (sort, lab))
                 seen.add(lab)
-        seen = set()
-        for label, a, b in self.edges:
-            if label in seen:
+        edge_index = {}
+        for s, (label, a, b) in enumerate(self.edges):
+            if label in edge_index:
                 raise SpanError("duplicate edge label %r" % (label,))
-            seen.add(label)
+            edge_index[label] = s
             if not 0 <= a < len(self.a_vertices):
                 raise SpanError("edge %r: A endpoint index %d out of range" % (label, a))
             if not 0 <= b < len(self.b_vertices):
@@ -81,6 +82,7 @@ class FiniteSpan:
             incidence[Vertex("A", a)].append(s)
             incidence[Vertex("B", b)].append(s)
         object.__setattr__(self, "_incidence", {v: tuple(es) for v, es in incidence.items()})
+        object.__setattr__(self, "_edge_index", edge_index)
 
     def a_end(self, s):
         """A-side endpoint index of edge ``s``."""
@@ -92,6 +94,10 @@ class FiniteSpan:
 
     def edge_label(self, s):
         return self.edges[s][0]
+
+    def edge_index(self, label):
+        """Index of the edge labelled ``label``, or None when there is none."""
+        return self._edge_index.get(label)
 
     @property
     def base_vertex(self):

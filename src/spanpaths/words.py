@@ -245,15 +245,15 @@ def parse_word(span, text):
         raise WordError("empty word text (use 'refl')")
     if tokens == ["refl"]:
         return ()
-    edge_index = {label: s for s, (label, _, _) in enumerate(span.edges)}
     steps = []
     for tok in tokens:
         if len(tok) < 2 or tok[0] not in "><":
             raise WordError("bad step token %r (expected >edge or <edge)" % (tok,))
         label = tok[1:]
-        if label not in edge_index:
+        s = span.edge_index(label)
+        if s is None:
             raise WordError("unknown edge label %r" % (label,))
-        steps.append(Step(FWD if tok[0] == ">" else BWD, edge_index[label]))
+        steps.append(Step(FWD if tok[0] == ">" else BWD, s))
     word = tuple(steps)
     validate_word(span, word)
     return word
