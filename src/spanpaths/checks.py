@@ -288,10 +288,12 @@ def seqcolim_suite(span, depth=3, seed=0):
     results = []
     rng = random.Random(seed)
     stages = build_stages(span, depth)
+    vertices = span.vertices()
+    diagrams = [stage_diagram(stages, v) for v in vertices]
+    limits = [direct_limit(diagram) for diagram in diagrams]
 
     failures = []
-    for v in span.vertices():
-        diagram = stage_diagram(stages, v)
+    for v, diagram in zip(vertices, diagrams):
         elements = [(n, x) for n, level in enumerate(diagram.sets) for x in level]
         pairs = [((n, x), (n + 1, diagram.maps[n][x])) for n, level in enumerate(diagram.sets[:-1]) for x in level]
         reference = None
@@ -308,12 +310,10 @@ def seqcolim_suite(span, depth=3, seed=0):
     results.append(_result("seqcolim.union-order-determinism", failures))
 
     failures = []
-    for v in span.vertices():
-        diagram = stage_diagram(stages, v)
+    for v, diagram, limit in zip(vertices, diagrams, limits):
         injective = all(
             len(set(m.values())) == len(m) for m in diagram.maps
         )
-        limit = direct_limit(diagram)
         if injective and limit.class_count != len(diagram.sets[-1]):
             failures.append(
                 "injective chain at %s: %d classes, last level %d"
@@ -322,10 +322,8 @@ def seqcolim_suite(span, depth=3, seed=0):
     results.append(_result("seqcolim.injective-classes", failures))
 
     failures = []
-    for v in span.vertices():
-        diagram = stage_diagram(stages, v)
+    for v, diagram, lim in zip(vertices, diagrams, limits):
         shifted = shift_diagram(diagram)
-        lim = direct_limit(diagram)
         lim_shift = direct_limit(shifted)
         image = {lim.find((n + 1, x)) for n, level in enumerate(shifted.sets) for x in level}
         if lim_shift.class_count != lim.class_count or len(image) != lim.class_count:
@@ -393,7 +391,7 @@ def idsys_suite(span, bound=6, seed=0):
     q0 = fam.fibers[0][0]
     section = idsys.elim_section(fam, q0)
     # length <= bound - 1 keeps the flipped value inside check_computation's window
-    tree = fam.skeleton.tree
+    tree = fam.tree
     target = tree.size(bound - 1) - 1  # the last such word; refl on edgeless spans
     corrupted = list(section.values)
     corrupted[target] = corrupted[target] ^ 1

@@ -17,115 +17,84 @@ Transitions are stored as forward/inverse dict pairs and may be partial at
 the window boundary (a crossing can push a value outside a bounded fiber);
 they are still required to be exact mutual inverses where defined.
 
-Words are the integer nodes of a words.WordTree, and every family over one
-(span, bound) shares one Skeleton: the node range, the endpoints, and the
-table of forward crossings that stay within the bound. Families are
+Words are the integer nodes of a words.WordTree, shared by every family over
+one span through words.word_tree. A crossing within the bound is one link of
+the tree, between a node x and its parent, so fibers and transitions are both
+lists by node id: ``transitions[x]`` is the pair of x's link, its forward
+dict running from the link's A-end node to its B-end node. Families are
 generated from ``crossing(s, x)``, which returns the forward dict of one
-whole transition. A family whose crossing does not depend on the word
-(trivial, parity, winding and the word family itself) returns the same dict
-for every node, so one ``(fwd, inv)`` pair object is shared by all the
-transitions across an edge; validation checks each shared pair once.
+whole transition from A-end node x. A family whose crossing does not depend
+on the node (trivial, parity, winding and the word family itself) returns
+the same dict for every link across an edge, so one ``(fwd, inv)`` pair
+object is shared by all of them; validation checks each shared pair once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
-from .words import format_word, word_tree
+from .words import WordTree, format_word, word_tree
 
 
-class Skeleton:
-    """The word side shared by every family over one (span, bound).
+def _links(tree, size):
+    """``(x, s, a, b)`` for each link of the nodes below ``size``, in node order.
 
-    The words are the nodes ``0..size - 1`` of ``tree``, a words.WordTree of
-    this or a larger bound. ``required[(s, x)]`` is the node reached by
-    crossing edge s forward from each node x at the edge's A end, when that
-    stays within the bound; keys run in order of x, then of edge.
+    x is the link's child node, s its edge, and a and b its A-end and B-end
+    nodes: ``(parent, x)`` when x ends on the B side (odd depth), else ``(x, parent)``.
     """
-
-    def __init__(self, tree, bound):
-        self.tree, self.bound = tree, bound
-        self.size = size = tree.size(bound)
-        self.required = {}
-        for x in range(size):
-            end = tree.end[x]
-            if end.side == "A":
-                for s in tree.span.edges_at(end):
-                    y = tree.step(x, s)
-                    if y is not None and y < size:
-                        self.required[(s, x)] = y
-
-
-_last_skeleton = None  # a weak reference, as in words.word_tree
-
-
-def _skeleton(span, bound):
-    """The Skeleton of (span, bound), shared by families while any of them lives."""
-    global _last_skeleton
-    tree = word_tree(span, bound)
-    sk = _last_skeleton() if _last_skeleton else None
-    if sk is None or sk.tree is not tree or sk.bound != bound:
-        sk = Skeleton(tree, bound)
-        _last_skeleton = weakref.ref(sk)
-    return sk
+    parent, last_edge, depth = tree.parent, tree.last_edge, tree.depth
+    for x in range(1, size):
+        p = parent[x]
+        yield (x, last_edge[x], p, x) if depth[x] % 2 else (x, last_edge[x], x, p)
 
 
 @dataclass
 class DescentFamily:
     """Fibers over all reduced words within ``bound``, plus crossing bijections.
 
-    Words are the node ids of the family's skeleton. ``fibers[x]`` is an
-    ordered tuple for every node x; ``transitions[(s, x)]`` is a ``(fwd, inv)``
-    dict pair for every key of the skeleton's required table, that is every
-    edge s and node x ending at its A end such that the crossed word also
-    fits in the bound. Validation enforces completeness of both tables and
-    exact two-sided inverses. Fibers and pairs may be shared objects;
-    containment and bijectivity are checked once per distinct combination of
-    (fwd, inv, source fiber, target fiber) objects.
+    Words are the node ids of the family's tree. ``fibers[x]`` is an ordered
+    tuple for every node x; ``transitions[x]`` is the ``(fwd, inv)`` dict
+    pair of the link between x and its parent for every node x >= 1, and
+    ``transitions[0]`` is None (refl has no parent). Validation enforces the
+    length of both lists and exact two-sided inverses. Fibers and pairs may
+    be shared objects; containment and bijectivity are checked once per
+    distinct combination of (pair, source fiber, target fiber) objects.
     """
 
     span: object
     bound: int
     fibers: list
-    transitions: dict
-    skeleton: Skeleton = field(init=False, repr=False, compare=False)
+    transitions: list
+    tree: WordTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.skeleton = sk = _skeleton(self.span, self.bound)
-        if len(self.fibers) != sk.size:
-            raise ValueError(
-                "fiber table incomplete or overfull (missing %d, extra %d)"
-                % (max(sk.size - len(self.fibers), 0), max(len(self.fibers) - sk.size, 0))
-            )
-        required = sk.required
-        if self.transitions.keys() != required.keys():
-            raise ValueError(
-                "transition table incomplete or overfull (missing %d, extra %d)"
-                % (
-                    len(required.keys() - self.transitions.keys()),
-                    len(self.transitions.keys() - required.keys()),
+        self.tree = tree = word_tree(self.span, self.bound)
+        size = tree.size(self.bound)
+        for name, table in (("fiber", self.fibers), ("transition", self.transitions)):
+            if len(table) != size:
+                raise ValueError(
+                    "%s table incomplete or overfull (missing %d, extra %d)"
+                    % (name, max(size - len(table), 0), max(len(table) - size, 0))
                 )
-            )
         # identity keys are stable: this family holds every keyed object
         checked = set()
-        for (s, x), (fwd, inv) in self.transitions.items():
-            src, tgt = self.fibers[x], self.fibers[required[(s, x)]]
-            key = (id(fwd), id(inv), id(src), id(tgt))
+        for x, s, a, b in _links(tree, size):
+            pair, src, tgt = self.transitions[x], self.fibers[a], self.fibers[b]
+            key = (id(pair), id(src), id(tgt))
             if key in checked:
                 continue
             checked.add(key)
+            fwd, inv = pair
             src, tgt = set(src), set(tgt)
-            for a, b in fwd.items():
-                if a not in src or b not in tgt:
-                    raise ValueError(
-                        "transition (%s, %s) leaves the fibers"
-                        % (self.span.edge_label(s), format_word(self.span, sk.tree.word(x)))
-                    )
-            if len(set(fwd.values())) != len(fwd) or inv != {b: a for a, b in fwd.items()}:
+            problem = None
+            if any(u not in src or v not in tgt for u, v in fwd.items()):
+                problem = "leaves the fibers"
+            elif len(set(fwd.values())) != len(fwd) or inv != {v: u for u, v in fwd.items()}:
+                problem = "is not bijective"
+            if problem:
                 raise ValueError(
-                    "transition (%s, %s) is not bijective"
-                    % (self.span.edge_label(s), format_word(self.span, sk.tree.word(x)))
+                    "transition (%s, %s) %s"
+                    % (self.span.edge_label(s), format_word(self.span, tree.word(a)), problem)
                 )
 
 
@@ -136,23 +105,25 @@ def build_family(span, bound, fiber_for, crossing):
     there; it is called once per vertex, in order of first appearance among
     the canonically ordered words, and the resulting tuple is shared by all
     those words. ``crossing(s, x)`` gives the forward dict across edge s from
-    node x, from fiber values to fiber values; it may omit values whose
-    image falls outside the window (the transition is then partial there) and
-    is not trimmed to the fibers, so validation rejects stray keys or images.
-    Returning the same dict for several nodes shares one (fwd, inv) pair
+    node x at the edge's A end, from fiber values to fiber values; it is
+    called once per link, in node order. It may omit values whose image
+    falls outside the window (the transition is then partial there) and is
+    not trimmed to the fibers, so validation rejects stray keys or images.
+    Returning the same dict for several links shares one (fwd, inv) pair
     between their transitions; the inverse is computed once per distinct dict.
     """
-    sk = _skeleton(span, bound)
-    ends = sk.tree.end[: sk.size]
+    tree = word_tree(span, bound)
+    size = tree.size(bound)
+    ends = tree.end[:size]
     at = {v: tuple(fiber_for(v)) for v in dict.fromkeys(ends)}
     fibers = [at[v] for v in ends]
     pairs = {}  # id(fwd) -> (fwd, inv); every fwd stays referenced by the table
-    transitions = {}
-    for key in sk.required:
-        fwd = crossing(*key)
+    transitions = [None]
+    for _, s, a, _ in _links(tree, size):
+        fwd = crossing(s, a)
         if id(fwd) not in pairs:
             pairs[id(fwd)] = (fwd, {y: x for x, y in fwd.items()})
-        transitions[key] = pairs[id(fwd)]
+        transitions.append(pairs[id(fwd)])
     return DescentFamily(span, bound, fibers, transitions)
 
 
@@ -195,13 +166,13 @@ def random_family(span, bound, rng):
 
 @dataclass
 class Section:
-    """Values of a section, one per node id of the family's skeleton."""
+    """Values of a section, one per node id of the family's tree."""
 
     family: DescentFamily
     values: list
 
     def __post_init__(self):
-        if len(self.values) != self.family.skeleton.size:
+        if len(self.values) != len(self.family.fibers):
             raise ValueError("a section needs one value per word, got %d" % len(self.values))
 
 
@@ -213,23 +184,21 @@ def elim_section(fam, q0):
     predecessor. Raises ValueError when a needed transition value is missing
     (the family's window is too small for the fold to pass through).
     """
-    span = fam.span
-    tree = fam.skeleton.tree
+    span, tree, transitions = fam.span, fam.tree, fam.transitions
     if q0 not in fam.fibers[0]:
         raise ValueError("base value %r is not in the fiber at refl" % (q0,))
-    parent, last_edge, depth = tree.parent, tree.last_edge, tree.depth
+    parent, depth = tree.parent, tree.depth
     values = [q0]
-    for x in range(1, fam.skeleton.size):
-        p, s = parent[x], last_edge[x]
-        if depth[x] % 2:  # a forward last step, taken from p
-            table, key = fam.transitions[(s, p)][0], p
-        else:  # a backward last step, the inverse of crossing forward from x
-            table, key = fam.transitions[(s, x)][1], x
+    for x in range(1, len(fam.fibers)):
+        p, forward = parent[x], depth[x] % 2
+        # a forward last step runs x's link from p, a backward one back from x
+        table = transitions[x][0 if forward else 1]
         prev = values[p]
         if prev not in table:
+            a = p if forward else x
             raise ValueError(
                 "family window too small: transition at (%s, %s) is undefined on %r"
-                % (span.edge_label(s), format_word(span, tree.word(key)), prev)
+                % (span.edge_label(tree.last_edge[x]), format_word(span, tree.word(a)), prev)
             )
         values.append(table[prev])
     return Section(fam, values)
@@ -248,35 +217,33 @@ class ComputationReport:
 def check_computation(fam, q0, sec):
     """Verify the fold's computation rules on a section.
 
-    Checks the base value at refl, then for every reduced word x ending at
-    an edge's A end with len(x) + 1 within bound, that the transition maps
-    the section value at x to the value at the crossed word. Cancellation
-    cases (x already ends with a backward crossing of the same edge) are
-    covered by the same sweep. Violations are reported, never raised.
+    Checks the base value at refl, then for every link whose A-end word a
+    has len(a) + 1 within bound, that the transition maps the section value
+    at a to the value at the link's B end. Cancellation cases (a ends with a
+    backward crossing of the same edge, so the link is a's own) are links
+    like any other. Violations are reported, never raised.
     """
-    span = fam.span
-    tree = fam.skeleton.tree
+    span, tree = fam.span, fam.tree
     values = sec.values
     violations = []
     checked = 1
     if values[0] != q0:
         violations.append("value at refl is %r, expected %r" % (values[0], q0))
-    # required runs in canonical order, so the window-safe nodes come first
     safe = tree.size(fam.bound - 1)
-    for (s, x), y in fam.skeleton.required.items():
-        if x >= safe:
-            break
+    for x, s, a, b in _links(tree, len(fam.fibers)):
+        if a >= safe:
+            continue
         checked += 1
-        fwd, _ = fam.transitions[(s, x)]
-        if values[x] not in fwd:
+        fwd = fam.transitions[x][0]
+        if values[a] not in fwd:
             violations.append(
                 "transition (%s, %s) undefined on the section value %r"
-                % (span.edge_label(s), format_word(span, tree.word(x)), values[x])
+                % (span.edge_label(s), format_word(span, tree.word(a)), values[a])
             )
-        elif fwd[values[x]] != values[y]:
+        elif fwd[values[a]] != values[b]:
             violations.append(
                 "computation rule fails at %s across %s: %r != %r"
-                % (format_word(span, tree.word(x)), span.edge_label(s), fwd[values[x]], values[y])
+                % (format_word(span, tree.word(a)), span.edge_label(s), fwd[values[a]], values[b])
             )
     return ComputationReport(checked, violations)
 
@@ -301,7 +268,7 @@ def uniqueness_check(fam, q0, sec):
     reference = elim_section(fam, q0).values
     for x, (got, want) in enumerate(zip(sec.values, reference)):
         if got != want:
-            word = format_word(fam.span, fam.skeleton.tree.word(x))
+            word = format_word(fam.span, fam.tree.word(x))
             return UniquenessReport(x + 1, "%s: %r != %r" % (word, got, want))
     return UniquenessReport(len(reference), None)
 
@@ -326,14 +293,14 @@ def word_family(span, bound):
     crossing of that edge, restricted to where both sides stay within the
     window (crossing back is its exact inverse there). The crossing ignores
     the node it starts from, so each edge's table is built once, from the
-    skeleton's required table.
+    tree's links.
     """
-    sk = _skeleton(span, bound)
+    tree = word_tree(span, bound)
     crossings = [{} for _ in span.edges]
-    for (s, x), y in sk.required.items():
-        crossings[s][x] = y
+    for _, s, a, b in _links(tree, tree.size(bound)):
+        crossings[s][a] = b
     return build_family(
-        span, bound, lambda v: sk.tree.nodes_at(v, bound), lambda s, x: crossings[s]
+        span, bound, lambda v: tree.nodes_at(v, bound), lambda s, x: crossings[s]
     )
 
 
@@ -346,7 +313,7 @@ def encode_decode(span, bound):
     natural equivalence between the family and the word model.
     """
     fam = word_family(span, bound)
-    tree = fam.skeleton.tree
+    tree = fam.tree
     values = elim_section(fam, 0).values
     safe = tree.size(bound - 1)
     identity_mismatches = [
@@ -356,16 +323,11 @@ def encode_decode(span, bound):
     ]
     nat_checked = 0
     nat_mismatches = []
-    for (s, x), y in fam.skeleton.required.items():
-        if x >= safe:
-            break
-        if y >= safe:
-            continue
+    for x, s, a, b in _links(tree, safe):  # a child below safe has its parent there too
         nat_checked += 1
-        fwd, _ = fam.transitions[(s, x)]
-        if fwd.get(values[x]) != values[y]:
+        if fam.transitions[x][0].get(values[a]) != values[b]:
             nat_mismatches.append(
                 "fold does not commute with crossing %s at %s"
-                % (span.edge_label(s), format_word(span, tree.word(x)))
+                % (span.edge_label(s), format_word(span, tree.word(a)))
             )
     return EncodeDecodeReport(safe, identity_mismatches, nat_checked, nat_mismatches)

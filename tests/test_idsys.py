@@ -1,8 +1,9 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from spanpaths import checks
+from spanpaths import checks, idsys
 
 from spanpaths.idsys import (
     DescentFamily,
@@ -18,9 +19,14 @@ from spanpaths.idsys import (
     winding_family,
     word_family,
 )
-from spanpaths.words import FWD, all_reduced_words, parse_word
+from spanpaths.span import parse_span
+from spanpaths.words import FWD, all_reduced_words, parse_word, word_endpoint
 
 T_EDGE = 1  # the circle's second edge, the counted one in the worked examples
+SPANS = {
+    path.stem: parse_span(path.read_text())
+    for path in sorted((Path(__file__).resolve().parent.parent / "spans").glob("*.span"))
+}
 
 
 def test_trivial_family_has_unique_section(circle):
@@ -54,7 +60,7 @@ def test_parity_family_counts_crossings_mod_two(circle):
 def test_fold_visits_each_word_exactly_once(theta):
     fam = trivial_family(theta, 4)
     section = elim_section(fam, 0)
-    tree = fam.skeleton.tree
+    tree = fam.tree
     words = all_reduced_words(theta, 4)
     assert {tree.word(x) for x in range(len(section.values))} == set(words)
     assert len(section.values) == len(words)
@@ -155,8 +161,8 @@ def test_encode_decode_theta_closed_form(theta, bound):
 
 def test_word_family_transitions_are_concatenation(circle):
     fam = word_family(circle, 4)
-    word = fam.skeleton.tree.word
-    for (s, _x), (fwd, inv) in fam.transitions.items():
+    word = fam.tree.word
+    for fwd, inv in fam.transitions[1:]:
         for value, image in fwd.items():
             assert inv[image] == value
             assert len(word(image)) in (len(word(value)) - 1, len(word(value)) + 1)
@@ -164,19 +170,19 @@ def test_word_family_transitions_are_concatenation(circle):
 
 def test_word_family_shares_one_pair_per_edge(theta):
     fam = word_family(theta, 8)
-    assert len(fam.transitions) == 765
+    assert len(fam.transitions) == 766  # one per node; refl has no link
+    assert fam.transitions[0] is None
     pairs_by_edge = {}
-    for (s, _), pair in fam.transitions.items():
-        pairs_by_edge.setdefault(s, set()).add(id(pair))
+    for x, pair in enumerate(fam.transitions[1:], 1):
+        pairs_by_edge.setdefault(fam.tree.last_edge[x], set()).add(id(pair))
     assert {s: len(ids) for s, ids in pairs_by_edge.items()} == {0: 1, 1: 1, 2: 1}
-    assert len({id(pair) for pair in fam.transitions.values()}) == 3
+    assert len({id(pair) for pair in fam.transitions[1:]}) == 3
 
 
 def test_family_validation_rejects_non_bijection_among_shared_pairs(circle):
     fam = parity_family(circle, 6, T_EDGE)
-    transitions = dict(fam.transitions)
-    key = list(transitions)[-1]  # checked after its shared pair passed at other words
-    transitions[key] = ({0: 0, 1: 0}, {0: 0})
+    transitions = list(fam.transitions)
+    transitions[-1] = ({0: 0, 1: 0}, {0: 0})  # checked after its shared pair passed at other links
     with pytest.raises(ValueError, match="not bijective"):
         DescentFamily(circle, 6, fam.fibers, transitions)
 
@@ -194,20 +200,31 @@ def test_family_validation_rejects_missing_fiber(circle):
         DescentFamily(circle, 3, fibers, fam.transitions)
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_family_validation_rejects_wrong_length_transition_table(circle, change):
+    fam = parity_family(circle, 3, T_EDGE)
+    transitions = list(fam.transitions)
+    if change == "short":
+        transitions.pop()
+    else:
+        transitions.append(transitions[-1])
+    with pytest.raises(ValueError, match="transition table incomplete or overfull"):
+        DescentFamily(circle, 3, fam.fibers, transitions)
+
+
 def test_family_validation_rejects_non_bijection(circle):
     fam = parity_family(circle, 3, T_EDGE)
-    transitions = dict(fam.transitions)
-    key = (0, 0)  # edge s from refl, node 0
-    transitions[key] = ({0: 0, 1: 0}, {0: 0})
-    with pytest.raises(ValueError, match="not bijective"):
+    transitions = list(fam.transitions)
+    transitions[1] = ({0: 0, 1: 0}, {0: 0})  # node 1 is >s, linked to refl
+    with pytest.raises(ValueError, match=r"transition \(s, refl\) is not bijective"):
         DescentFamily(circle, 3, fam.fibers, transitions)
 
 
 def test_family_validation_rejects_escaping_values(circle):
     fam = parity_family(circle, 3, T_EDGE)
-    transitions = dict(fam.transitions)
-    transitions[(0, 0)] = ({0: 5, 1: 1}, {5: 0, 1: 1})
-    with pytest.raises(ValueError, match="leaves the fibers"):
+    transitions = list(fam.transitions)
+    transitions[1] = ({0: 5, 1: 1}, {5: 0, 1: 1})
+    with pytest.raises(ValueError, match=r"transition \(s, refl\) leaves the fibers"):
         DescentFamily(circle, 3, fam.fibers, transitions)
 
 
@@ -224,26 +241,98 @@ def test_random_families_fold_coherently(corpus):
 def test_build_family_on_edgeless_span(coproduct):
     fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
     assert len(fam.fibers) == 1  # refl alone
-    assert fam.transitions == {}
+    assert fam.transitions == [None]
     section = elim_section(fam, 1)
     assert section.values == [1]
 
 
-def test_idsys_suite_families_share_one_skeleton(theta, monkeypatch):
-    skeletons = []
+def test_idsys_suite_families_share_one_tree(theta, monkeypatch):
+    trees = []
     post_init = DescentFamily.__post_init__
 
     def recording_post_init(fam):
         post_init(fam)
-        skeletons.append(fam.skeleton)
+        trees.append(fam.tree)
 
     monkeypatch.setattr(DescentFamily, "__post_init__", recording_post_init)
     assert all(result.ok for result in checks.idsys_suite(theta, bound=5))
-    assert len(skeletons) == 2 * len(theta.edges) + 5
-    assert all(sk is skeletons[0] for sk in skeletons)
+    assert len(trees) == 2 * len(theta.edges) + 5
+    assert all(tree is trees[0] for tree in trees)
 
 
 def test_section_needs_one_value_per_word(circle):
     fam = trivial_family(circle, 3)
     with pytest.raises(ValueError, match="one value per word"):
         Section(fam, [0, 0])
+
+
+@pytest.mark.parametrize("name", sorted(SPANS))
+def test_fold_counts_follow_the_words(name):
+    # one computation rule per edge at each A-side word short enough to cross,
+    # one identity per window-safe word, one square per link among those words
+    span = SPANS[name]
+    for bound in range(1, 9):
+        short = all_reduced_words(span, bound - 1)
+        rules = sum(
+            len(span.edges_at(word_endpoint(span, word))) for word in short if len(word) % 2 == 0
+        )
+        fam = trivial_family(span, bound)
+        assert check_computation(fam, 0, elim_section(fam, 0)).checked == 1 + rules
+        report = encode_decode(span, bound)
+        assert report.ok
+        assert report.identity_checked == len(short)
+        assert report.naturality_checked == report.identity_checked - 1
+
+
+def wrong_value_at_first_link(elim):
+    # the fold writes the next fiber value at node 1, the first crossing from refl
+    def sabotaged(fam, q0):
+        values = list(elim(fam, q0).values)
+        fiber = fam.fibers[1]
+        values[1] = fiber[(fiber.index(values[1]) + 1) % len(fiber)]
+        return Section(fam, values)
+
+    return sabotaged
+
+
+def swap_two_images(make):
+    # exchange the images of two window-safe crossings of edge 0; still bijective
+    def sabotaged(span, bound):
+        fam = make(span, bound)
+        old = fam.transitions[1]  # edge 0's pair, shared by all its links
+        safe = fam.tree.size(bound - 1)
+        fwd = dict(old[0])
+        a1, a2 = [a for a, b in fwd.items() if b < safe and fam.tree.parent[b] == a][-2:]
+        fwd[a1], fwd[a2] = fwd[a2], fwd[a1]
+        pair = (fwd, {b: a for a, b in fwd.items()})
+        transitions = [pair if p is old else p for p in fam.transitions]
+        return DescentFamily(span, bound, fam.fibers, transitions)
+
+    return sabotaged
+
+
+# row -> (target, attribute, sabotage, every row the sabotage flips)
+IDSYS_SABOTAGE = {
+    "idsys.fold-families": (
+        idsys, "elim_section", wrong_value_at_first_link,
+        {"idsys.fold-families", "idsys.encode-decode"},
+    ),
+    "idsys.encode-decode": (idsys, "word_family", swap_two_images, {"idsys.encode-decode"}),
+    "idsys.negative-controls": (
+        idsys, "uniqueness_check",
+        lambda check: lambda fam, q0, sec: idsys.UniquenessReport(len(sec.values), None),
+        {"idsys.negative-controls"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDSYS_SABOTAGE))
+def test_idsys_check_sabotage_flips_its_row(theta, monkeypatch, name):
+    target, attribute, sabotage, flipped = IDSYS_SABOTAGE[name]
+    assert all(r.ok for r in checks.run_all(theta))
+    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
+    assert {r.name for r in checks.run_all(theta) if not r.ok} == flipped
+
+
+def test_every_idsys_check_has_a_sabotage(theta):
+    assert {r.name for r in checks.idsys_suite(theta)} == set(IDSYS_SABOTAGE)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from spanpaths import checks
 from spanpaths.seqcolim import (
     FinSeqDiagram,
     QuotientSet,
@@ -230,3 +231,23 @@ def test_truncate_diagram_bounds():
     assert truncate_diagram(d, 1).sets == d.sets[:2]
     with pytest.raises(ValueError):
         truncate_diagram(d, 5)
+
+
+def test_seqcolim_suite_builds_each_diagram_and_limit_once(theta, monkeypatch):
+    calls = {"stage_diagram": 0, "direct_limit": 0}
+
+    def counting(name):
+        original = getattr(checks, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(checks, name, counting(name))
+    results = checks.seqcolim_suite(theta, depth=3)
+    assert all(result.ok for result in results)
+    # one limit per vertex, plus one for each vertex's shifted diagram
+    assert calls == {"stage_diagram": len(theta.vertices()), "direct_limit": 2 * len(theta.vertices())}
