@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 from . import idsys, oracle
 from .seqcolim import (
-    QuotientSet,
     SeqMorphism,
     compose_morphisms,
     direct_limit,
     half_shift,
     map_of_limits,
+    partition,
     shift_diagram,
     truncate_diagram,
     zigzag_equivalence,
@@ -237,17 +237,21 @@ def stage_suite(span, depth=4):
     failures = []
     if report.ok:
         for v in span.vertices():
-            diagram = stage_diagram(stages, v)
-            limit = direct_limit(diagram)
+            limit = direct_limit(stage_diagram(stages, v))
             bound = 2 * depth if v.side == "A" else 2 * depth - 1
             expected = report.tree.nodes_at(v, bound)
-            class_words = set()
-            for cls in limit.classes():
-                labels = {report.word_maps[(k, v)][x] for k, x in cls}
-                if len(labels) != 1:
-                    failures.append("limit class at %s mixes words" % span.vertex_label(v))
-                class_words.add(labels.pop())
-            if class_words != set(expected):
+            labels = [None] * limit.class_count
+            mixed = False
+            for k in range(depth + 1):
+                for x, word in enumerate(report.word_maps[(k, v)]):
+                    c = limit.find(k, x)
+                    if labels[c] is None:
+                        labels[c] = word
+                    elif labels[c] != word:
+                        mixed = True
+            if mixed:
+                failures.append("limit class at %s mixes words" % span.vertex_label(v))
+            if len(labels) != len(expected) or set(labels) != set(expected):
                 failures.append(
                     "limit of %s has %d classes, %d words"
                     % (span.vertex_label(v), limit.class_count, len(expected))
@@ -293,31 +297,27 @@ def seqcolim_suite(span, depth=3, seed=0):
     limits = [direct_limit(diagram) for diagram in diagrams]
 
     failures = []
-    for v, diagram in zip(vertices, diagrams):
-        elements = [(n, x) for n, level in enumerate(diagram.sets) for x in level]
-        pairs = [((n, x), (n + 1, diagram.maps[n][x])) for n, level in enumerate(diagram.sets[:-1]) for x in level]
-        reference = None
+    for v, diagram, limit in zip(vertices, diagrams, limits):
+        # one glued pair per triple, so shuffling reorders every union
+        offsets = limit.offsets
+        glue = [
+            (offsets[n] + x, offsets[n + 1], (y,))
+            for n, step in enumerate(diagram.maps)
+            for x, y in enumerate(step)
+        ]
         for _ in range(3):
-            q = QuotientSet(elements)
-            shuffled = pairs[:]
-            rng.shuffle(shuffled)
-            for x, y in shuffled:
-                q.union(x, y)
-            if reference is None:
-                reference = q.classes()
-            elif q.classes() != reference:
+            rng.shuffle(glue)
+            if partition(len(limit.class_of), glue) != (limit.class_of, limit.class_count):
                 failures.append("union order changed classes at %s" % span.vertex_label(v))
     results.append(_result("seqcolim.union-order-determinism", failures))
 
     failures = []
     for v, diagram, limit in zip(vertices, diagrams, limits):
-        injective = all(
-            len(set(m.values())) == len(m) for m in diagram.maps
-        )
-        if injective and limit.class_count != len(diagram.sets[-1]):
+        injective = all(len(set(step)) == len(step) for step in diagram.maps)
+        if injective and limit.class_count != diagram.sizes[-1]:
             failures.append(
                 "injective chain at %s: %d classes, last level %d"
-                % (span.vertex_label(v), limit.class_count, len(diagram.sets[-1]))
+                % (span.vertex_label(v), limit.class_count, diagram.sizes[-1])
             )
     results.append(_result("seqcolim.injective-classes", failures))
 
@@ -325,7 +325,7 @@ def seqcolim_suite(span, depth=3, seed=0):
     for v, diagram, lim in zip(vertices, diagrams, limits):
         shifted = shift_diagram(diagram)
         lim_shift = direct_limit(shifted)
-        image = {lim.find((n + 1, x)) for n, level in enumerate(shifted.sets) for x in level}
+        image = {lim.find(n + 1, x) for n, size in enumerate(shifted.sizes) for x in range(size)}
         if lim_shift.class_count != lim.class_count or len(image) != lim.class_count:
             failures.append("shift changed the limit at %s" % span.vertex_label(v))
     results.append(_result("seqcolim.shift-invariance", failures))
@@ -336,7 +336,7 @@ def seqcolim_suite(span, depth=3, seed=0):
         first = zigzag_to_morphism(z)
         second = zigzag_to_morphism(half_shift(z))
         # composing through the half-shift needs the first morphism cut to size
-        cut = len(second.source.sets)
+        cut = len(second.source.sizes)
         first_cut = SeqMorphism(
             truncate_diagram(first.source, cut - 1),
             truncate_diagram(first.target, cut - 1),
@@ -346,7 +346,7 @@ def seqcolim_suite(span, depth=3, seed=0):
         lhs = map_of_limits(composite)
         inner = map_of_limits(first_cut)
         outer = map_of_limits(second)
-        if any(outer[inner[rep]] != img for rep, img in lhs.items()):
+        if any(outer[inner[c]] != image for c, image in enumerate(lhs)):
             failures.append("composition law fails across edge %s" % span.edge_label(s))
     results.append(_result("seqcolim.map-composition", failures))
     return results

@@ -2,9 +2,12 @@
 
 Every diagram carries an explicit truncation bound N (levels 0..N), and
 statements about the untruncated limit are verified only on classes that
-stay clear of the boundary. Limits are computed as union-find quotients of
-the stage-tagged disjoint union, with order-minimal representatives so all
-outputs are deterministic.
+stay clear of the boundary. Level n of a diagram is the integer range
+``0..sizes[n]-1`` and its connecting map a tuple indexed by element. A
+direct limit lays the levels out as offset blocks of one cell range and
+partitions it with the union-find the stage pushouts use, so classes are
+ids numbered by their least ``(stage, element)`` pair and every output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -12,127 +15,118 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-class QuotientSet:
-    """A finite ordered set with a union-find partition.
+def partition(total, glue):
+    """Classes of the cells ``0..total-1`` under a list of gluings.
 
-    The representative of a class is its first-inserted element, so
-    representatives and class listings are independent of the union order.
-    Call seal() after building; unions are then rejected and the quotient
-    can be shared freely for reads.
+    Each ``(x_offset, y_offset, bridge)`` of ``glue`` glues cell
+    ``x_offset + p`` to cell ``y_offset + bridge[p]`` for every p. Returns
+    ``(class_of, count)``: a tuple giving each cell its class id, ids
+    ``0..count-1`` numbering the classes in order of their least cell.
     """
+    parent = list(range(total))
+    for x_offset, y_offset, bridge in glue:
+        for x, q in enumerate(bridge, x_offset):
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]  # path halving
+            y = y_offset + q
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            # the smaller cell is the root, so the result is independent of the union order
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    # parent[c] <= c throughout, so one forward pass numbers every class
+    class_of = [0] * total
+    count = 0
+    for c, p in enumerate(parent):
+        if p == c:
+            class_of[c] = count
+            count += 1
+        else:
+            class_of[c] = class_of[p]
+    return tuple(class_of), count
 
-    def __init__(self, elements):
-        self._elements = tuple(elements)
-        self._index = {}
-        for i, e in enumerate(self._elements):
-            if e in self._index:
-                raise ValueError("duplicate element %r" % (e,))
-            self._index[e] = i
-        self._parent = list(range(len(self._elements)))
-        self._sealed = False
 
-    def __len__(self):
-        return len(self._elements)
-
-    def __contains__(self, x):
-        return x in self._index
-
-    @property
-    def elements(self):
-        return self._elements
-
-    def _find(self, i):
-        root = i
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[i] != root:  # path compression
-            self._parent[i], i = root, self._parent[i]
-        return root
-
-    def union(self, x, y):
-        if self._sealed:
-            raise ValueError("quotient is sealed")
-        ri = self._find(self._index[x])
-        rj = self._find(self._index[y])
-        if ri == rj:
-            return
-        lo, hi = (ri, rj) if ri < rj else (rj, ri)
-        self._parent[hi] = lo
-
-    def seal(self):
-        self._sealed = True
-        return self
-
-    def find(self, x):
-        """Canonical representative (the order-minimal member) of x's class."""
-        return self._elements[self._find(self._index[x])]
-
-    def representatives(self):
-        """Class representatives in canonical order."""
-        return [e for i, e in enumerate(self._elements) if self._find(i) == i]
-
-    def classes(self):
-        """All classes, each in insertion order starting with its representative."""
-        groups = {}
-        for i, e in enumerate(self._elements):
-            groups.setdefault(self._find(i), []).append(e)
-        return [tuple(groups[r]) for r in sorted(groups)]
-
-    @property
-    def class_count(self):
-        return sum(1 for i in range(len(self._elements)) if self._find(i) == i)
+def _check_map(images, size, target, what):
+    if not isinstance(images, tuple):
+        raise ValueError("%s is not a tuple of element indices" % what)
+    if len(images) != size:
+        raise ValueError("%s is not total: %d images for %d elements" % (what, len(images), size))
+    if images and not (0 <= min(images) and max(images) < target):
+        raise ValueError("%s sends an element outside its %d-element target" % (what, target))
 
 
 @dataclass(frozen=True)
 class FinSeqDiagram:
-    """Finite sets ``sets[0..N]`` with total connecting maps ``maps[n]``."""
+    """Levels ``0..sizes[n]-1`` with total connecting maps ``maps[n]``."""
 
-    sets: tuple
+    sizes: tuple
     maps: tuple
 
     def __post_init__(self):
-        if len(self.maps) != max(len(self.sets) - 1, 0):
+        if len(self.maps) != max(len(self.sizes) - 1, 0):
             raise ValueError("need exactly one connecting map per consecutive pair of levels")
-        for n, level in enumerate(self.sets):
-            if len(set(level)) != len(level):
-                raise ValueError("level %d has duplicate elements" % (n,))
         for n, step in enumerate(self.maps):
-            nxt = set(self.sets[n + 1])
-            for x in self.sets[n]:
-                if x not in step:
-                    raise ValueError("map %d is not total: missing %r" % (n, x))
-                if step[x] not in nxt:
-                    raise ValueError("map %d sends %r outside level %d" % (n, x, n + 1))
+            _check_map(step, self.sizes[n], self.sizes[n + 1], "map %d" % n)
 
     @property
     def truncation(self):
-        return len(self.sets) - 1
+        return len(self.sizes) - 1
 
 
 def shift_diagram(d):
     """Drop level 0; the canonical inclusion identifies the two limits."""
-    return FinSeqDiagram(d.sets[1:], d.maps[1:])
+    return FinSeqDiagram(d.sizes[1:], d.maps[1:])
 
 
 def truncate_diagram(d, n):
     """Restrict to levels 0..n."""
     if not 0 <= n <= d.truncation:
         raise ValueError("truncation %d out of range" % (n,))
-    return FinSeqDiagram(d.sets[: n + 1], d.maps[:n])
+    return FinSeqDiagram(d.sizes[: n + 1], d.maps[:n])
+
+
+@dataclass(frozen=True)
+class DirectLimit:
+    """Classes of a truncated diagram's stage-tagged elements.
+
+    Element x of level n is cell ``offsets[n] + x``; ``class_of`` gives each
+    cell its class id, numbered by least cell, which is the least
+    ``(n, x)`` pair of the class.
+    """
+
+    offsets: tuple
+    class_of: tuple
+    class_count: int
+
+    def find(self, n, x):
+        return self.class_of[self.offsets[n] + x]
+
+    def representatives(self):
+        """The least ``(n, x)`` pair of each class, in class id order."""
+        reps = []
+        class_of = self.class_of
+        ends = self.offsets[1:] + (len(class_of),)
+        for n, (start, end) in enumerate(zip(self.offsets, ends)):
+            for x in range(end - start):
+                if class_of[start + x] == len(reps):
+                    reps.append((n, x))
+        return reps
 
 
 def direct_limit(d):
     """Set-level colimit of the truncated diagram.
 
-    Elements are stage-tagged pairs (n, x); each is glued to its successor
-    image. Returns a sealed QuotientSet; class representatives are the
-    least (stage, element) pairs in canonical order.
+    Each element (n, x) is glued to its successor image (n + 1, maps[n][x]).
     """
-    q = QuotientSet([(n, x) for n, level in enumerate(d.sets) for x in level])
-    for n, step in enumerate(d.maps):
-        for x in d.sets[n]:
-            q.union((n, x), (n + 1, step[x]))
-    return q.seal()
+    offsets = []
+    total = 0
+    for size in d.sizes:
+        offsets.append(total)
+        total += size
+    glue = [(offsets[n], offsets[n + 1], step) for n, step in enumerate(d.maps)]
+    return DirectLimit(tuple(offsets), *partition(total, glue))
 
 
 @dataclass(frozen=True)
@@ -148,29 +142,18 @@ class SeqMorphism:
     levels: tuple
 
     def __post_init__(self):
-        if len(self.source.sets) != len(self.target.sets):
+        if len(self.source.sizes) != len(self.target.sizes):
             raise ValueError("source and target truncations differ")
-        if len(self.levels) != len(self.source.sets):
+        if len(self.levels) != len(self.source.sizes):
             raise ValueError("need one level map per level")
         for n, level in enumerate(self.levels):
-            tgt = set(self.target.sets[n])
-            for x in self.source.sets[n]:
-                if x not in level:
-                    raise ValueError("level %d map is not total: missing %r" % (n, x))
-                if level[x] not in tgt:
-                    raise ValueError("level %d map sends %r outside the target" % (n, x))
+            _check_map(level, self.source.sizes[n], self.target.sizes[n], "level %d map" % n)
         for n in range(len(self.levels) - 1):
-            for x in self.source.sets[n]:
-                lhs = self.target.maps[n][self.levels[n][x]]
-                rhs = self.levels[n + 1][self.source.maps[n][x]]
-                if lhs != rhs:
-                    raise ValueError(
-                        "square condition violated at level %d, element %r" % (n, x)
-                    )
-
-
-def identity_morphism(d):
-    return SeqMorphism(d, d, tuple({x: x for x in level} for level in d.sets))
+            here, there = self.levels[n], self.levels[n + 1]
+            connect = self.target.maps[n]
+            for x, y in enumerate(self.source.maps[n]):
+                if connect[here[x]] != there[y]:
+                    raise ValueError("square condition violated at level %d, element %d" % (n, x))
 
 
 def compose_morphisms(outer, inner):
@@ -178,31 +161,47 @@ def compose_morphisms(outer, inner):
     if inner.target is not outer.source and inner.target != outer.source:
         raise ValueError("morphisms do not compose")
     levels = tuple(
-        {x: outer.levels[n][inner.levels[n][x]] for x in inner.source.sets[n]}
-        for n in range(len(inner.levels))
+        tuple(after[x] for x in before) for after, before in zip(outer.levels, inner.levels)
     )
     return SeqMorphism(inner.source, outer.target, levels)
+
+
+def _induced(lim_src, lim_tgt, levels, shift=0):
+    """Class images of per-level maps from level n into target level n + shift.
+
+    Returns the target class id of each source class (None for a class with
+    no element in a mapped level) and the set of source classes whose
+    elements' images disagree.
+    """
+    src_of, tgt_of = lim_src.class_of, lim_tgt.class_of
+    out = [None] * lim_src.class_count
+    broken = set()
+    for start, offset, level in zip(lim_src.offsets, lim_tgt.offsets[shift:], levels):
+        for c, y in zip(src_of[start : start + len(level)], level):
+            image = tgt_of[offset + y]
+            if out[c] is None:
+                out[c] = image
+            elif out[c] != image:
+                broken.add(c)
+    return out, broken
 
 
 def map_of_limits(m, source_limit=None, target_limit=None):
     """Class map induced on direct limits by a morphism.
 
-    Returns a dict keyed by source class representatives. Constancy on
-    classes is rechecked even though the square condition already forces it.
+    Returns a tuple giving each source class id its target class id.
+    Constancy on classes is rechecked even though the square condition
+    already forces it.
     """
     lim_src = source_limit if source_limit is not None else direct_limit(m.source)
     lim_tgt = target_limit if target_limit is not None else direct_limit(m.target)
-    out = {}
-    for cls in lim_src.classes():
-        image = None
-        for n, x in cls:
-            y = lim_tgt.find((n, m.levels[n][x]))
-            if image is None:
-                image = y
-            elif image != y:
-                raise ValueError("induced map is not constant on the class of %r" % (cls[0],))
-        out[cls[0]] = image
-    return out
+    out, broken = _induced(lim_src, lim_tgt, m.levels)
+    if broken:
+        raise ValueError(
+            "induced map is not constant on the class of %r"
+            % (lim_src.representatives()[min(broken)],)
+        )
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -226,23 +225,18 @@ class SeqZigzag:
             raise ValueError("left and right truncations differ")
         if len(self.fwd) != n + 1 or len(self.bwd) != n:
             raise ValueError("need %d forward and %d backward maps" % (n + 1, n))
-        for k in range(n + 1):
-            tgt = set(self.right.sets[k])
-            for x in self.left.sets[k]:
-                if self.fwd[k].get(x) not in tgt:
-                    raise ValueError("forward map %d undefined or out of range at %r" % (k, x))
+        for k, images in enumerate(self.fwd):
+            _check_map(images, self.left.sizes[k], self.right.sizes[k], "forward map %d" % k)
+        for k, images in enumerate(self.bwd):
+            _check_map(images, self.right.sizes[k], self.left.sizes[k + 1], "backward map %d" % k)
         for k in range(n):
-            tgt = set(self.left.sets[k + 1])
-            for y in self.right.sets[k]:
-                if self.bwd[k].get(y) not in tgt:
-                    raise ValueError("backward map %d undefined or out of range at %r" % (k, y))
-        for k in range(n):
-            for x in self.left.sets[k]:
-                if self.left.maps[k][x] != self.bwd[k][self.fwd[k][x]]:
-                    raise ValueError("left triangle fails at level %d, element %r" % (k, x))
-            for y in self.right.sets[k]:
-                if self.right.maps[k][y] != self.fwd[k + 1][self.bwd[k][y]]:
-                    raise ValueError("right triangle fails at level %d, element %r" % (k, y))
+            fwd, bwd, fwd_next = self.fwd[k], self.bwd[k], self.fwd[k + 1]
+            for x, y in enumerate(self.left.maps[k]):
+                if y != bwd[fwd[x]]:
+                    raise ValueError("left triangle fails at level %d, element %d" % (k, x))
+            for y, z in enumerate(self.right.maps[k]):
+                if z != fwd_next[bwd[y]]:
+                    raise ValueError("right triangle fails at level %d, element %d" % (k, y))
 
 
 def half_shift(z):
@@ -270,12 +264,17 @@ def zigzag_to_morphism(z):
 
 @dataclass
 class ZigzagEquivalence:
-    """Round-trip verification of the limit maps induced by a zigzag."""
+    """Round-trip verification of the limit maps induced by a zigzag.
 
-    left_limit: QuotientSet
-    right_limit: QuotientSet
-    forward: dict
-    backward: dict
+    ``forward`` gives each left class id its right class id; ``backward``
+    gives each right class id its left class id, or None where the class
+    has no element below the last level or its images disagree.
+    """
+
+    left_limit: DirectLimit
+    right_limit: DirectLimit
+    forward: tuple
+    backward: tuple
     checked: int
     failures: list = field(default_factory=list)
 
@@ -300,33 +299,24 @@ def zigzag_equivalence(z):
     lim_left = direct_limit(z.left)
     lim_right = direct_limit(z.right)
     forward = map_of_limits(zigzag_to_morphism(z), lim_left, lim_right)
-    backward = {}
-    failures = []
-    for cls in lim_right.classes():
-        image = None
-        for k, y in cls:
-            if k > n - 1:
-                continue
-            img = lim_left.find((k + 1, z.bwd[k][y]))
-            if image is None:
-                image = img
-            elif image != img:
-                failures.append("backward map not constant on the class of %r" % (cls[0],))
-                image = None
-                break
-        if image is not None:
-            backward[cls[0]] = image
+    right_reps = lim_right.representatives()
+    backward, broken = _induced(lim_right, lim_left, z.bwd, 1)
+    failures = [
+        "backward map not constant on the class of %r" % (right_reps[c],) for c in sorted(broken)
+    ]
+    for c in broken:
+        backward[c] = None
     checked = 0
-    for rep in lim_left.representatives():
+    for c, rep in enumerate(lim_left.representatives()):
         if rep[0] >= n - 1:
             continue
         checked += 1
-        if backward.get(forward[rep]) != rep:
+        if backward[forward[c]] != c:
             failures.append("left round trip moved %r" % (rep,))
-    for rep in lim_right.representatives():
+    for c, rep in enumerate(right_reps):
         if rep[0] >= n - 1:
             continue
         checked += 1
-        if rep not in backward or forward.get(backward[rep]) != rep:
+        if backward[c] is None or forward[backward[c]] != c:
             failures.append("right round trip moved %r" % (rep,))
-    return ZigzagEquivalence(lim_left, lim_right, forward, backward, checked, failures)
+    return ZigzagEquivalence(lim_left, lim_right, forward, tuple(backward), checked, failures)

@@ -16,7 +16,7 @@ per previous class of the same fiber, followed by one inr block per incident
 edge, in ``edges_at`` order, each at a fixed offset; the block of edge s
 holds one cell per class at the edge's other end. The gluing identifies inl
 cell p with cell ``offset_s + bridge_s[p]``. Connected components, computed
-by a flat-list union-find whose root is always the smaller cell, are the
+by seqcolim.partition (the union-find behind direct limits too), are the
 stage's classes, numbered ``0..k-1`` in order of their least cell. The
 bridge maps themselves are not recursive: the forward bridge out of stage n
 is the slice of the stage n + 1 B-side class ids over that edge's block, and
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .seqcolim import FinSeqDiagram, SeqZigzag, shift_diagram, truncate_diagram
+from .seqcolim import FinSeqDiagram, SeqZigzag, partition, shift_diagram, truncate_diagram
 from .span import Vertex
 from .words import WordTree, word_tree
 
@@ -65,34 +65,12 @@ def pushout_pi0(left, blocks):
 
     Cells are ``0..left-1`` (the inl block), then each ``(size, bridge)`` of
     ``blocks`` in order at a fixed offset; every inl cell p is glued to cell
-    ``bridge[p]`` of every block. Returns ``(class_of, count)``: a tuple
-    giving each cell its class id, ids ``0..count-1`` numbering the classes
-    in order of their least cell.
+    ``bridge[p]`` of every block. Returns seqcolim.partition's
+    ``(class_of, count)``: class ids number the classes by least cell.
     """
     offsets, total = _offsets(left, blocks)
-    parent = list(range(total))
-    for offset, (_size, bridge) in zip(offsets, blocks):
-        for p, q in enumerate(bridge):
-            x = p
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]  # path halving
-            y = offset + q
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
-    # parent[c] <= c throughout, so one forward pass numbers every class
-    class_of = [0] * total
-    count = 0
-    for c, p in enumerate(parent):
-        if p == c:
-            class_of[c] = count
-            count += 1
-        else:
-            class_of[c] = class_of[p]
-    return tuple(class_of), count
+    glue = [(0, offset, bridge) for offset, (_size, bridge) in zip(offsets, blocks)]
+    return partition(total, glue)
 
 
 def cogap_set(class_of, left, blocks, values):
@@ -380,16 +358,13 @@ def stage_word_bijection(stages, n):
 
 def stage_diagram(stages, vertex):
     """Sequential diagram of one fiber's class ids, connected by inclusion."""
-    side, idx = vertex
-    sets = []
-    maps = []
-    for k, st in enumerate(stages):
-        size = st.sizes_a[idx] if side == "A" else st.sizes_b[idx]
-        sets.append(tuple(range(size)))
-        if k > 0:
-            incl = st.incl_a[idx] if side == "A" else st.incl_b[idx]
-            maps.append(dict(enumerate(incl)))
-    return FinSeqDiagram(tuple(sets), tuple(maps))
+    if vertex.side == "A":
+        sizes = [st.sizes_a[vertex.index] for st in stages]
+        maps = [st.incl_a[vertex.index] for st in stages[1:]]
+    else:
+        sizes = [st.sizes_b[vertex.index] for st in stages]
+        maps = [st.incl_b[vertex.index] for st in stages[1:]]
+    return FinSeqDiagram(tuple(sizes), tuple(maps))
 
 
 def construction_zigzag(stages, s):
@@ -407,6 +382,6 @@ def construction_zigzag(stages, s):
     a, b = stages[0].span.a_end(s), stages[0].span.b_end(s)
     left = truncate_diagram(stage_diagram(stages, Vertex("A", a)), m - 1)
     right = shift_diagram(stage_diagram(stages, Vertex("B", b)))
-    fwd = tuple(dict(enumerate(stages[k].fwd_maps[s])) for k in range(m))
-    bwd = tuple(dict(enumerate(stages[k + 1].bwd_maps[s])) for k in range(m - 1))
+    fwd = tuple(st.fwd_maps[s] for st in stages[:m])
+    bwd = tuple(st.bwd_maps[s] for st in stages[1:m])
     return SeqZigzag(left, right, fwd, bwd)

@@ -39,3 +39,35 @@ def coproduct():
 @pytest.fixture
 def corpus():
     return {name: parse_span(text) for name, text in CORPUS_TEXT.items()}
+
+
+def _bfs_classes(cells, pairs):
+    """Class id of each of ``cells`` (in order) under the glued ``pairs``.
+
+    A breadth-first search over an adjacency dict, sharing no code with the
+    union-find it is compared against; ids number the classes in order of
+    their first cell.
+    """
+    adjacent = {c: [] for c in cells}
+    for x, y in pairs:
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    class_of = {}
+    count = 0
+    for c in cells:
+        if c in class_of:
+            continue
+        class_of[c] = count
+        queue = [c]
+        for x in queue:
+            for y in adjacent[x]:
+                if y not in class_of:
+                    class_of[y] = count
+                    queue.append(y)
+        count += 1
+    return [class_of[c] for c in cells]
+
+
+@pytest.fixture
+def bfs_classes():
+    return _bfs_classes

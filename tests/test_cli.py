@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -55,6 +56,74 @@ def test_limit_circle(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "classes: 5"
     assert lines[1] == "stage=0 refl"
+
+
+# sha256 of the stdout of `limit <span> --up-to 4 --endpoint <vertex>`, as text
+# and with --json, for every vertex of every bundled span: B-side and
+# unreachable endpoints included, so any change to these bytes shows here
+LIMIT_DIGESTS = {
+    ("circle", "a"): (
+        "45d31453a4861164ce9048b248dd3818e9b6661fabfae83c2577b10d6b779119",
+        "b221381e298fa42356937b00d7b1d378a3b68e8b8b0d8743fc479ebf60240473",
+    ),
+    ("circle", "b"): (
+        "4c52de5282d45202aed9f0a5b2fe45dbadb8f10961fe29b7e873b9490467d8ae",
+        "78e9fa6a9000ec1e22fdb236ccaa8e4e65fc27e24c9d8bb5a849564c0ea247b5",
+    ),
+    ("coproduct", "a0"): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "9f31eae321390b127db85c3137c7026a4564d49785e8b1f18b1002dee64e3919",
+    ),
+    ("coproduct", "a1"): (
+        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
+        "9fc4770b5e54cb74e958908c060fd7685ac6f0b23c54020bd1d7cde24d2575dc",
+    ),
+    ("coproduct", "b0"): (
+        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
+        "35514aee55cc387193cadd412a77fc4e07128c11fc8cb89210c6784beb8d6f3a",
+    ),
+    ("interval", "a"): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "07d7f02555c0086d1b154d97736f97cbe3f739a00b8737c2f918ed74e330ae82",
+    ),
+    ("interval", "b"): (
+        "e666cbcc59dee2688ccd5212f2fc1410637151862d472bdc2d01f485e2f74e18",
+        "35fe3b8b7bcaf89e4934ddbf81ca3bef69ce3ef04243caf71e03c53ea13ca677",
+    ),
+    ("theta", "a"): (
+        "fab702aa44f97212d7042c72cce8b364c964d4ec1cd105449ae6e38184de1c1c",
+        "a083dd26c473d70835e57640bbaa75634a7e30e0fd2b816500fa1558667f4ac0",
+    ),
+    ("theta", "b"): (
+        "9a2b88f5edb39f0a6d74706f669c9584afad68ff502e90a02eff574bd1c1d400",
+        "047da7d6fc5e229a78b5635e72a727f22a65d2699644a4a627b4c238eddb9219",
+    ),
+    ("tree4", "a1"): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "98e8cdf9ab23bd2e882325a6cdc9cbb3c88817c2b0f8fba90e42d769de835be4",
+    ),
+    ("tree4", "a2"): (
+        "9cd3d87f2cee623ac4ea0c1e5f84870aaef792b334117668b70c247e8313f0f3",
+        "1a0c794bc7d8e3a52f8596ce8f2a6e5c1af14b735f7b947b5520e08785880e67",
+    ),
+    ("tree4", "b1"): (
+        "b14bf8d1105e53768449b4aec743c8aef7dc477aa40245673b03b66a96064b3a",
+        "718e202cd0ae723c9872aa4cef0dc53df4ee16ab733fc4393bcfe93695d9424b",
+    ),
+    ("tree4", "b2"): (
+        "70097e5a20bd73567fd601aba37f60e077027ab77fece39c3fff81468bcc4504",
+        "3088786522ca6efa49a6512dfef9d80ddfb996467f21c3d903021c33816e9826",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, vertex", sorted(LIMIT_DIGESTS))
+def test_limit_output_is_pinned(capsys, name, vertex):
+    argv = ["limit", str(SPAN_DIR / (name + ".span")), "--up-to", "4", "--endpoint", vertex]
+    for flags, digest in zip(([], ["--json"]), LIMIT_DIGESTS[(name, vertex)]):
+        code, out, _ = run(capsys, argv + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_passes_on_circle(capsys):

@@ -2,17 +2,17 @@ import random
 
 import pytest
 
-from spanpaths import checks
+from spanpaths import checks, seqcolim
 from spanpaths.seqcolim import (
+    DirectLimit,
     FinSeqDiagram,
-    QuotientSet,
     SeqMorphism,
     SeqZigzag,
     compose_morphisms,
     direct_limit,
     half_shift,
-    identity_morphism,
     map_of_limits,
+    partition,
     shift_diagram,
     truncate_diagram,
     zigzag_equivalence,
@@ -23,63 +23,88 @@ from spanpaths.stages import build_stages, construction_zigzag, stage_diagram, s
 from spanpaths.words import FWD, Step, enumerate_words
 
 
-def constant_diagram(elements, levels):
-    sets = tuple(tuple(elements) for _ in range(levels))
-    maps = tuple({x: x for x in elements} for _ in range(levels - 1))
-    return FinSeqDiagram(sets, maps)
+def constant_diagram(size, levels):
+    identity = tuple(range(size))
+    return FinSeqDiagram((size,) * levels, (identity,) * (levels - 1))
 
 
-def identity_zigzag(elements, levels):
-    d = constant_diagram(elements, levels)
-    ident = {x: x for x in elements}
-    return SeqZigzag(d, d, tuple(ident for _ in range(levels)), tuple(ident for _ in range(levels - 1)))
+def identity_morphism(d):
+    return SeqMorphism(d, d, tuple(tuple(range(size)) for size in d.sizes))
 
 
-def test_quotient_representative_is_order_minimal():
-    q = QuotientSet("abcd")
-    q.union("d", "b")
-    q.union("c", "d")
-    assert q.find("d") == "b"
-    assert q.representatives() == ["a", "b"]
-    assert q.classes() == [("a",), ("b", "c", "d")]
+def identity_zigzag(size, levels):
+    d = constant_diagram(size, levels)
+    identity = tuple(range(size))
+    return SeqZigzag(d, d, (identity,) * levels, (identity,) * (levels - 1))
 
 
-def test_quotient_rejects_duplicates_and_sealed_unions():
-    with pytest.raises(ValueError, match="duplicate"):
-        QuotientSet("aa")
-    q = QuotientSet("ab").seal()
-    with pytest.raises(ValueError, match="sealed"):
-        q.union("a", "b")
+# level sizes 1, 2, 3, each level included in the next
+INCLUSIONS = FinSeqDiagram((1, 2, 3), ((0,), (0, 1)))
 
 
-def test_quotient_union_order_irrelevant():
+def test_partition_numbers_classes_by_least_cell():
+    # cells 1, 2, 3 glued in an order that never makes 1 the first root
+    assert partition(4, [(3, 0, (1,)), (2, 0, (3,))]) == ((0, 1, 1, 1), 2)
+    # a star: inl cells 0..1, a block at offset 2 glued to both
+    assert partition(5, [(0, 2, (1, 1)), (0, 4, (0, 0))]) == ((0, 0, 1, 0, 0), 2)
+
+
+def test_partition_union_order_irrelevant():
     rng = random.Random(3)
-    pairs = [(0, 5), (5, 2), (7, 3), (1, 4), (4, 0)]
-    reference = None
+    glue = [(0, 0, (5,)), (5, 0, (2,)), (7, 0, (3,)), (1, 0, (4,)), (4, 0, (0,))]
+    reference = partition(8, glue)
     for _ in range(10):
-        q = QuotientSet(range(8))
-        shuffled = pairs[:]
-        rng.shuffle(shuffled)
-        for x, y in shuffled:
-            q.union(x, y)
-        if reference is None:
-            reference = q.classes()
-        assert q.classes() == reference
+        rng.shuffle(glue)
+        assert partition(8, glue) == reference
+
+
+def test_partition_matches_bfs_on_random_star_gluings(bfs_classes):
+    # pushout-shaped: an inl block glued into blocks at fixed offsets
+    rng = random.Random(17)
+    for _ in range(200):
+        left = rng.randint(0, 6)
+        blocks = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        glue, pairs, total = [], [], left
+        for size in blocks:
+            bridge = tuple(rng.randrange(size) for _ in range(left))
+            glue.append((0, total, bridge))
+            pairs += [(p, total + q) for p, q in enumerate(bridge)]
+            total += size
+        class_of, count = partition(total, glue)
+        assert list(class_of) == bfs_classes(range(total), pairs)
+        assert count == len(set(class_of))
+
+
+def test_direct_limit_matches_bfs_on_random_chains(bfs_classes):
+    # limit-shaped: levels of arbitrary (not necessarily injective) maps
+    rng = random.Random(23)
+    for _ in range(200):
+        sizes = tuple(rng.randint(1, 5) for _ in range(rng.randint(1, 5)))
+        maps = tuple(
+            tuple(rng.randrange(sizes[n + 1]) for _ in range(sizes[n])) for n in range(len(sizes) - 1)
+        )
+        limit = direct_limit(FinSeqDiagram(sizes, maps))
+        cells = [(n, x) for n, size in enumerate(sizes) for x in range(size)]
+        pairs = [((n, x), (n + 1, y)) for n, step in enumerate(maps) for x, y in enumerate(step)]
+        expected = bfs_classes(cells, pairs)
+        assert [limit.find(n, x) for n, x in cells] == expected
+        assert limit.class_count == len(set(expected))
+        firsts = {}
+        for cell, cls in zip(cells, expected):
+            firsts.setdefault(cls, cell)
+        assert limit.representatives() == [firsts[c] for c in range(limit.class_count)]
 
 
 def test_direct_limit_constant():
-    assert direct_limit(constant_diagram((0, 1), 4)).class_count == 2
+    assert direct_limit(constant_diagram(2, 4)).class_count == 2
 
 
 def test_direct_limit_inclusions():
-    d = FinSeqDiagram(
-        ((0,), (0, 1), (0, 1, 2)),
-        ({0: 0}, {0: 0, 1: 1}),
-    )
-    limit = direct_limit(d)
+    limit = direct_limit(INCLUSIONS)
     assert limit.class_count == 3
-    assert limit.find((0, 0)) == (0, 0)
-    assert limit.find((2, 0)) == (0, 0)
+    assert limit.find(0, 0) == 0
+    assert limit.find(2, 0) == 0
+    assert limit.representatives() == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_direct_limit_circle_stage_diagram(circle):
@@ -90,44 +115,39 @@ def test_direct_limit_circle_stage_diagram(circle):
 
 def test_diagram_validation():
     with pytest.raises(ValueError, match="not total"):
-        FinSeqDiagram(((0, 1), (0,)), ({0: 0},))
+        FinSeqDiagram((2, 1), ((0,),))
     with pytest.raises(ValueError, match="outside"):
-        FinSeqDiagram(((0,), (1,)), ({0: 0},))
+        FinSeqDiagram((1, 1), ((1,),))
+    # a dict's keys would pass the range checks while its values were ignored
+    with pytest.raises(ValueError, match="not a tuple"):
+        FinSeqDiagram((2, 2), ({0: 1, 1: 0},))
 
 
 def test_morphism_square_condition_rejected():
-    source = FinSeqDiagram(((0, 1), (0, 1)), ({0: 1, 1: 0},))
-    target = constant_diagram((0, 1), 2)
+    source = FinSeqDiagram((2, 2), ((1, 0),))
+    target = constant_diagram(2, 2)
     with pytest.raises(ValueError, match="square condition"):
-        SeqMorphism(source, target, ({0: 0, 1: 1}, {0: 0, 1: 1}))
+        SeqMorphism(source, target, ((0, 1), (0, 1)))
 
 
 def test_map_of_limits_identity():
-    d = constant_diagram((0, 1, 2), 3)
-    mapping = map_of_limits(identity_morphism(d))
-    assert all(rep == image for rep, image in mapping.items())
+    d = constant_diagram(3, 3)
+    assert map_of_limits(identity_morphism(d)) == (0, 1, 2)
 
 
 def test_map_of_limits_into_singleton():
-    d = FinSeqDiagram(
-        ((0,), (0, 1), (0, 1, 2)),
-        ({0: 0}, {0: 0, 1: 1}),
-    )
-    point = constant_diagram(("x",), 3)
-    morphism = SeqMorphism(
-        d, point, tuple({x: "x" for x in level} for level in d.sets)
-    )
-    mapping = map_of_limits(morphism)
-    assert set(mapping.values()) == {(0, "x")}
+    point = constant_diagram(1, 3)
+    morphism = SeqMorphism(INCLUSIONS, point, tuple((0,) * size for size in INCLUSIONS.sizes))
+    assert map_of_limits(morphism) == (0, 0, 0)
 
 
 def test_map_of_limits_respects_composition():
-    d = FinSeqDiagram(((0, 1), (0, 1)), ({0: 0, 1: 1},))
-    swap = SeqMorphism(d, d, ({0: 1, 1: 0}, {0: 1, 1: 0}))
-    twice = compose_morphisms(swap, swap)
-    composed = map_of_limits(twice)
+    d = constant_diagram(2, 2)
+    swap = SeqMorphism(d, d, ((1, 0), (1, 0)))
+    composed = map_of_limits(compose_morphisms(swap, swap))
     first = map_of_limits(swap)
-    assert composed == {rep: first[first[rep]] for rep in first}
+    assert first == (1, 0)
+    assert composed == tuple(first[first[c]] for c in range(len(first)))
 
 
 def test_bridge_morphism_on_circle(circle):
@@ -137,22 +157,21 @@ def test_bridge_morphism_on_circle(circle):
     morphism = zigzag_to_morphism(z)
     report = stage_word_bijection(stages, 3)
     mapping = map_of_limits(morphism)
-    lim_left = direct_limit(z.left)
-    refl_class = lim_left.find((0, 0))  # refl is class 0 of stage 0
-    stage, cell = mapping[refl_class]
+    refl_class = direct_limit(z.left).find(0, 0)  # refl is class 0 of stage 0
+    stage, cell = direct_limit(z.right).representatives()[mapping[refl_class]]
     node = report.word_maps[(stage + 1, Vertex("B", 0))][cell]  # right side is shifted by one
     assert report.tree.word(node) == (Step(FWD, 0),)
 
 
 def test_half_shift_identity_zigzag():
-    z = identity_zigzag((0, 1), 4)
+    z = identity_zigzag(2, 4)
     shifted = half_shift(z)
     assert shifted.left.truncation == z.left.truncation - 1
     assert shifted.fwd == z.bwd
 
 
 def test_zigzag_to_morphism_keeps_forward_family():
-    z = identity_zigzag((0, 1), 4)
+    z = identity_zigzag(2, 4)
     morphism = zigzag_to_morphism(z)
     assert morphism.levels == z.fwd
     assert morphism.source == z.left and morphism.target == z.right
@@ -160,13 +179,13 @@ def test_zigzag_to_morphism_keeps_forward_family():
 
 def test_half_shift_twice_is_shift():
     # two half-shifts advance every map by one level (each also trims one level)
-    z = identity_zigzag((0, 1), 5)
+    z = identity_zigzag(2, 5)
     double = half_shift(half_shift(z))
     surviving = double.left.truncation + 1
     assert double.fwd == z.fwd[1 : 1 + surviving]
     assert double.bwd == z.bwd[1 : surviving]
-    assert double.left.sets == z.left.sets[1 : 1 + surviving]
-    assert double.right.sets == z.right.sets[1 : 1 + surviving]
+    assert double.left.sizes == z.left.sizes[1 : 1 + surviving]
+    assert double.right.sizes == z.right.sizes[1 : 1 + surviving]
 
 
 def test_half_shift_circle_construction(circle):
@@ -174,29 +193,28 @@ def test_half_shift_circle_construction(circle):
     stages = build_stages(circle, 4)
     z = construction_zigzag(stages, 0)
     shifted = half_shift(z)  # constructor re-checks the triangle conditions
-    assert shifted.left.sets == z.right.sets[: shifted.left.truncation + 1]
-    assert shifted.right.sets == z.left.sets[1:]
+    assert shifted.left.sizes == z.right.sizes[: shifted.left.truncation + 1]
+    assert shifted.right.sizes == z.left.sizes[1:]
 
 
 def test_zigzag_validation_rejects_broken_triangles():
-    d = constant_diagram((0, 1), 2)
+    d = constant_diagram(2, 2)
     with pytest.raises(ValueError, match="triangle"):
-        SeqZigzag(d, d, ({0: 0, 1: 1}, {0: 0, 1: 1}), ({0: 1, 1: 0},))
+        SeqZigzag(d, d, ((0, 1), (0, 1)), ((1, 0),))
 
 
 def test_zigzag_equivalence_identity():
-    report = zigzag_equivalence(identity_zigzag((0, 1, 2), 5))
+    report = zigzag_equivalence(identity_zigzag(3, 5))
     assert report.ok
     assert report.checked > 0
-    assert all(rep == image for rep, image in report.forward.items())
+    assert report.forward == report.backward == (0, 1, 2)
 
 
 def test_zigzag_equivalence_circle_refl_roundtrip(circle):
     stages = build_stages(circle, 5)
     report = zigzag_equivalence(construction_zigzag(stages, 0))
     assert report.ok
-    lim_left = report.left_limit
-    refl_class = lim_left.find((0, 0))  # refl is class 0 of stage 0
+    refl_class = report.left_limit.find(0, 0)  # refl is class 0 of stage 0
     assert report.backward[report.forward[refl_class]] == refl_class
 
 
@@ -210,7 +228,7 @@ def test_zigzag_equivalence_interval(interval):
 
 def test_zigzag_equivalence_needs_two_levels():
     with pytest.raises(ValueError, match="truncation too small"):
-        zigzag_equivalence(identity_zigzag((0,), 2))
+        zigzag_equivalence(identity_zigzag(1, 2))
 
 
 def test_shift_invariance(circle):
@@ -218,17 +236,13 @@ def test_shift_invariance(circle):
     d = stage_diagram(stages, Vertex("B", 0))
     lim = direct_limit(d)
     lim_shift = direct_limit(shift_diagram(d))
-    image = {
-        lim.find((n + 1, x))
-        for n, level in enumerate(shift_diagram(d).sets)
-        for x in level
-    }
+    image = {lim.find(n + 1, x) for n, size in enumerate(shift_diagram(d).sizes) for x in range(size)}
     assert lim_shift.class_count == lim.class_count == len(image)
 
 
 def test_truncate_diagram_bounds():
-    d = constant_diagram((0,), 3)
-    assert truncate_diagram(d, 1).sets == d.sets[:2]
+    d = constant_diagram(1, 3)
+    assert truncate_diagram(d, 1).sizes == d.sizes[:2]
     with pytest.raises(ValueError):
         truncate_diagram(d, 5)
 
@@ -251,3 +265,57 @@ def test_seqcolim_suite_builds_each_diagram_and_limit_once(theta, monkeypatch):
     assert all(result.ok for result in results)
     # one limit per vertex, plus one for each vertex's shifted diagram
     assert calls == {"stage_diagram": len(theta.vertices()), "direct_limit": 2 * len(theta.vertices())}
+
+
+def reversed_images(induced):
+    # images listed in reverse class order: every entry in range, most of them wrong
+    return lambda *args: induced(*args)[::-1]
+
+
+# check name -> (object, attribute, sabotage of the attribute's current value,
+# every row of run_all the sabotage flips); the sabotages patch the binding
+# the row's producer reads, so checks.X and seqcolim.X are different targets
+COLIMIT_SABOTAGE = {
+    "seqcolim.union-order-determinism": (
+        # skipping whichever gluing comes first makes the classes depend on the order
+        checks, "partition", lambda part: lambda total, glue: part(total, glue[1:]),
+        {"seqcolim.union-order-determinism"},
+    ),
+    "seqcolim.injective-classes": (
+        # every direct limit leaves its last level unglued
+        seqcolim, "partition", lambda part: lambda total, glue: part(total, glue[:-1]),
+        {
+            "seqcolim.injective-classes", "seqcolim.union-order-determinism",
+            "stages.colimit-agreement", "stages.zigzag-equivalence",
+        },
+    ),
+    "seqcolim.shift-invariance": (
+        checks, "shift_diagram", lambda shift: lambda d: truncate_diagram(d, d.truncation - 1),
+        {"seqcolim.shift-invariance"},
+    ),
+    "seqcolim.map-composition": (
+        checks, "map_of_limits", reversed_images, {"seqcolim.map-composition"},
+    ),
+    "stages.zigzag-equivalence": (
+        seqcolim, "map_of_limits", reversed_images, {"stages.zigzag-equivalence"},
+    ),
+    "stages.colimit-agreement": (
+        # each element reads the class of the cell before it
+        DirectLimit, "find", lambda find: lambda self, n, x: self.class_of[self.offsets[n] + x - 1],
+        {"stages.colimit-agreement", "seqcolim.shift-invariance"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLIMIT_SABOTAGE))
+def test_colimit_check_sabotage_flips_its_row(theta, monkeypatch, name):
+    target, attribute, sabotage, flipped = COLIMIT_SABOTAGE[name]
+    assert all(r.ok for r in checks.run_all(theta))
+    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
+    assert {r.name for r in checks.run_all(theta) if not r.ok} == flipped
+
+
+def test_every_limit_check_has_a_sabotage(theta):
+    names = {r.name for r in checks.seqcolim_suite(theta)}
+    names |= {"stages.colimit-agreement", "stages.zigzag-equivalence"}
+    assert names == set(COLIMIT_SABOTAGE)

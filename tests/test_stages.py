@@ -4,7 +4,7 @@ import random
 import pytest
 
 from spanpaths import checks
-from spanpaths.seqcolim import QuotientSet, direct_limit
+from spanpaths.seqcolim import direct_limit
 from spanpaths.span import Vertex, parse_span
 from spanpaths.stages import (
     build_stages,
@@ -203,12 +203,14 @@ def test_colimit_agrees_with_enumeration(circle):
     report = stage_word_bijection(stages, depth)
     for vertex, bound in ((Vertex("A", 0), 2 * depth), (Vertex("B", 0), 2 * depth - 1)):
         limit = direct_limit(stage_diagram(stages, vertex))
-        words = set()
-        for cls in limit.classes():
-            labels = {report.word_maps[(k, vertex)][x] for k, x in cls}
-            assert len(labels) == 1  # inclusion-compatible labelling
-            words |= labels
-        assert {report.tree.word(x) for x in words} == set(enumerate_words(circle, vertex, bound))
+        labels = {}
+        for k in range(depth + 1):
+            for x, node in enumerate(report.word_maps[(k, vertex)]):
+                # inclusion-compatible labelling: one word per limit class
+                assert labels.setdefault(limit.find(k, x), node) == node
+        assert len(labels) == limit.class_count
+        words = [report.tree.word(x) for x in labels.values()]
+        assert sorted(words) == sorted(enumerate_words(circle, vertex, bound))
 
 
 def test_construction_zigzag_triangles_hold(corpus):
@@ -268,9 +270,9 @@ def _decoded_cells(stages, n, vertex):
     return cells
 
 
-def test_pushouts_match_quotient_set_of_decoded_glue():
+def test_pushouts_match_quotient_set_of_decoded_glue(bfs_classes):
     # differential: each fiber's integer partition, numbering included, is the
-    # union-find quotient of its decoded cells under its decoded glue edges
+    # breadth-first quotient of its decoded cells under its decoded glue edges
     rng = random.Random(11)
     for _ in range(30):
         span = checks.random_span(rng)
@@ -279,12 +281,9 @@ def test_pushouts_match_quotient_set_of_decoded_glue():
             st = stages[n]
             for vertex in span.vertices():
                 cells = _decoded_cells(stages, n, vertex)
-                quot = QuotientSet(cells)
-                for x, y in st.glue_edges(vertex):
-                    quot.union(x, y)
-                ids = {rep: i for i, rep in enumerate(quot.representatives())}
+                expected = bfs_classes(cells, st.glue_edges(vertex))
                 class_of = st.class_of_a if vertex.side == "A" else st.class_of_b
-                assert tuple(ids[quot.find(c)] for c in cells) == class_of[vertex.index]
+                assert tuple(expected) == class_of[vertex.index]
 
 
 def test_fold_rejects_merged_classes(theta):
