@@ -211,14 +211,14 @@ def stage_suite(span, depth=4):
     results.append(_result("stages.word-bijection", report.failures))
 
     failures = []
-    for k in range(1, depth + 1):
-        st = stages[k]
-        for a, images in enumerate(st.incl_a):
+    vertices = span.vertices()
+    diagrams = [stage_diagram(stages, v) for v in vertices]
+    for v, diagram in zip(vertices, diagrams):
+        for k, images in enumerate(diagram.maps, 1):
             if len(set(images)) != len(images):
-                failures.append("stage %d A inclusion at %s not injective" % (k, span.a_vertices[a]))
-        for b, images in enumerate(st.incl_b):
-            if len(set(images)) != len(images):
-                failures.append("stage %d B inclusion at %s not injective" % (k, span.b_vertices[b]))
+                failures.append(
+                    "stage %d %s inclusion at %s not injective" % (k, v.side, span.vertex_label(v))
+                )
     results.append(_result("stages.incl-injective", failures))
 
     nonzero = []
@@ -236,8 +236,8 @@ def stage_suite(span, depth=4):
 
     failures = []
     if report.ok:
-        for v in span.vertices():
-            limit = direct_limit(stage_diagram(stages, v))
+        for v, diagram in zip(vertices, diagrams):
+            limit = direct_limit(diagram)
             bound = 2 * depth if v.side == "A" else 2 * depth - 1
             expected = report.tree.nodes_at(v, bound)
             labels = [None] * limit.class_count
@@ -343,9 +343,11 @@ def seqcolim_suite(span, depth=3, seed=0):
             first.levels[:cut],
         )
         composite = compose_morphisms(second, first_cut)
-        lhs = map_of_limits(composite)
-        inner = map_of_limits(first_cut)
-        outer = map_of_limits(second)
+        # first_cut.target is second.source, so three limits serve all three maps
+        source, middle, target = map(direct_limit, (first_cut.source, second.source, second.target))
+        lhs = map_of_limits(composite, source, target)
+        inner = map_of_limits(first_cut, source, middle)
+        outer = map_of_limits(second, middle, target)
         if any(outer[inner[c]] != image for c, image in enumerate(lhs)):
             failures.append("composition law fails across edge %s" % span.edge_label(s))
     results.append(_result("seqcolim.map-composition", failures))

@@ -78,6 +78,7 @@ def _cmd_stages(args):
     span = _load_span(args.file)
     stages = build_stages(span, args.up_to)
     report = stage_word_bijection(stages, args.up_to)
+    failed = {stage for stage, _v, _c, _w, ok in report.rows if not ok}
     rows = []
     for n in range(args.up_to + 1):
         st = stages[n]
@@ -88,9 +89,7 @@ def _cmd_stages(args):
             "b_fibers": dict(zip(span.b_vertices, st.sizes_b)),
             "glue": sum(st.glue_count(v) for v in span.vertices()),
             "cycles": sum(cycles.values()),
-            "bijection": "ok"
-            if all(ok for stage, _v, _c, _w, ok in report.rows if stage == n)
-            else "FAIL",
+            "bijection": "FAIL" if n in failed else "ok",
         }
         rows.append(row)
     payload = {"command": "stages", "rows": rows, "ok": report.ok}

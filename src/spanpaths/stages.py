@@ -17,18 +17,19 @@ edge, in ``edges_at`` order, each at a fixed offset; the block of edge s
 holds one cell per class at the edge's other end. The gluing identifies inl
 cell p with cell ``offset_s + bridge_s[p]``. Connected components, computed
 by seqcolim.partition (the union-find behind direct limits too), are the
-stage's classes, numbered ``0..k-1`` in order of their least cell. The
-bridge maps themselves are not recursive: the forward bridge out of stage n
-is the slice of the stage n + 1 B-side class ids over that edge's block, and
-dually for the backward bridge, so they are read off after each pushout.
+stage's classes, numbered ``0..k-1`` in order of their least cell.
 
-Provenance is decoded only where it is reported (glue_edges). Each stage
-keeps the bridges its gluing followed, so the identifications can be refolded
+A stage stores only its gluing span and its partition; every map of the
+construction is a block of cells read off a pushout. A fiber's inclusion is
+its inl block, ``class_of[:L]``; the forward bridge out of stage n over edge
+s is the block of s in the stage n + 1 B fiber, the backward bridge the block
+of s in the stage n A fiber, each kept once, as the bridge the next stage's
+gluing follows. Provenance is decoded only where it is reported
+(glue_edges). The stored bridges let the identifications be refolded
 (cogap_set) against independent data, most importantly the reduced-word
 model: stage_word_bijection labels every cell with a reduced word, as a
 node id of one words.WordTree, and checks that classes are exactly the words
-within the stage's length bound, naturally in all stage maps. The pushouts
-themselves (build_stages) read no word.
+within the stage's length bound. The pushouts (build_stages) read no word.
 """
 
 from __future__ import annotations
@@ -111,14 +112,13 @@ class StageFamily:
     ``class_of_a[a]`` gives every integer cell of A fiber a its class id
     (inl block of the previous stage's classes, then one block per incident
     edge in ``edges_at`` order); ``sizes_a[a]`` is its class count; likewise
-    for B. Maps are tuples indexed by class id: ``incl_a[a]`` sends the
-    previous stage's classes to this stage's; ``bwd_maps[s]`` sends this
-    stage's B classes over the edge's B end to A classes over its A end;
-    ``fwd_maps[s]`` sends this stage's A classes into the next stage's B
-    classes (None on the last stage). ``glue_a[s]`` and ``glue_b[s]`` are the
-    bridges the gluing over edge s followed: the previous stage's forward and
-    backward maps (empty at stage 0, which glues nothing and has no
-    inclusions, ``incl_a = incl_b = None``).
+    for B. ``glue_a[s]`` and ``glue_b[s]`` are the bridges the gluing over
+    edge s followed, tuples indexed by previous class id: the forward bridge
+    out of the previous stage (its A classes over the edge's A end into this
+    stage's B classes) and its backward bridge (its B classes into its A
+    classes). Stage 0 glues nothing, so both are empty there. Inclusions are
+    not stored: fiber v's is ``class_of[:L]`` for L the previous stage's
+    class count at v (stage_diagram).
     """
 
     span: object
@@ -129,10 +129,6 @@ class StageFamily:
     sizes_b: tuple
     glue_a: tuple
     glue_b: tuple
-    incl_a: tuple | None
-    incl_b: tuple | None
-    bwd_maps: tuple
-    fwd_maps: tuple | None
 
     def pa_classes(self, a):
         return range(self.sizes_a[a])
@@ -181,8 +177,9 @@ def build_stages(span, n_max):
 
     Within a stage the B side is built first (its gluing backtracks across
     the previous stage's backward bridges), the forward bridges out of the
-    previous stage are read off its inr blocks, which completes the previous
-    stage, and the A side is built on top of the fresh B classes.
+    previous stage are read off its inr blocks, and the A side is built on
+    top of the fresh B classes; its inr blocks are the backward bridges the
+    next stage glues along.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
@@ -192,28 +189,22 @@ def build_stages(span, n_max):
     a_end = [span.a_end(s) for s in range(ne)]
     b_end = [span.b_end(s) for s in range(ne)]
 
-    # each stage's fields from class_of_a through bwd_maps; its forward
-    # bridges are known only once the next stage's B side is built
     class_of_a = tuple((0,) if a == span.basepoint else () for a in range(na))
     empty = ((),) * ne
-    fields = [(class_of_a, ((),) * nb, tuple(map(len, class_of_a)), (0,) * nb,
-               empty, empty, None, None, empty)]
-    fwd_maps = []
-    for _ in range(n_max):
-        _, _, sizes_a, sizes_b, *_, bwd = fields[-1]
-        new_of_b, new_sizes_b, fwd = _glue_side(
-            sizes_b, edges_at_b, [sizes_a[a_end[s]] for s in range(ne)], bwd
+    stages = [StageFamily(span, 0, class_of_a, ((),) * nb, tuple(map(len, class_of_a)),
+                          (0,) * nb, empty, empty)]
+    bwd = empty  # the backward bridges out of the last stage built
+    for n in range(1, n_max + 1):
+        prev = stages[-1]
+        class_of_b, sizes_b, fwd = _glue_side(
+            prev.sizes_b, edges_at_b, [prev.sizes_a[a_end[s]] for s in range(ne)], bwd
         )
-        new_of_a, new_sizes_a, new_bwd = _glue_side(
-            sizes_a, edges_at_a, [new_sizes_b[b_end[s]] for s in range(ne)], fwd
+        class_of_a, sizes_a, next_bwd = _glue_side(
+            prev.sizes_a, edges_at_a, [sizes_b[b_end[s]] for s in range(ne)], fwd
         )
-        incl_a = tuple(c[:left] for c, left in zip(new_of_a, sizes_a))
-        incl_b = tuple(c[:left] for c, left in zip(new_of_b, sizes_b))
-        fields.append((new_of_a, new_of_b, new_sizes_a, new_sizes_b,
-                       fwd, bwd, incl_a, incl_b, new_bwd))
-        fwd_maps.append(fwd)
-    fwd_maps.append(None)
-    return [StageFamily(span, n, *f, fwd) for n, (f, fwd) in enumerate(zip(fields, fwd_maps))]
+        stages.append(StageFamily(span, n, class_of_a, class_of_b, sizes_a, sizes_b, fwd, bwd))
+        bwd = next_bwd
+    return stages
 
 
 def cycle_diagnostic(stages, n):
@@ -242,8 +233,8 @@ class BijectionReport:
     ``word_maps[(n, vertex)]`` is a tuple of word-tree node ids indexed by
     class id (``tree.word`` decodes one); rows are (stage, vertex, classes,
     words, matched) per fiber. failures holds structured counterexample
-    descriptions, so ok means a full bijection commuting with inclusion and
-    both bridges.
+    descriptions, so ok means a full bijection; it then commutes with
+    inclusion and both bridges (see stage_word_bijection).
     """
 
     max_stage: int
@@ -264,10 +255,17 @@ def stage_word_bijection(stages, n):
     span through cogap_set: included cells keep their previous node, bridged
     cells step across their edge. The report records, per fiber, whether the
     class labelling is a bijection onto the words within the stage bound
-    (2n on the A side, 2n - 1 on the B side) and whether it commutes with
-    inclusion and the bridge maps. Mismatches are reported, not raised. One
-    tree of bound 2n serves every stage: canonical order is length-first, so
-    each fiber's words are a prefix of its endpoint's id list.
+    (2n on the A side, 2n - 1 on the B side). Mismatches are reported, not
+    raised. One tree of bound 2n serves every stage: canonical order is
+    length-first, so each fiber's words are a prefix of its endpoint's id
+    list.
+
+    A successful fold is also natural in every stage map. cogap_set checks
+    that the labelling is constant on each class and agrees across every
+    glue pair. Constancy on the inl block says inclusions keep the word;
+    constancy on the block of edge s says the bridge the block is (the
+    forward bridge in a B fiber, the backward one in an A fiber) steps
+    across s. So the fold fails before any square could.
     """
     if n >= len(stages):
         raise ValueError("the bijection needs stages 0..%d, got 0..%d" % (n, len(stages) - 1))
@@ -317,17 +315,11 @@ def stage_word_bijection(stages, n):
             return False
         return True
 
-    def natural(src, images, dst, s, what):
-        # class p of src lands on class images[p] of dst, stepping across s unless None
-        for p, x in enumerate(src):
-            if dst[images[p]] != (x if s is None else step(x, s)):
-                failures.append("%s at class %d" % (what, p))
-
     for v in span.vertices():
         word_maps[(0, v)] = (0,) if v == span.base_vertex else ()
         check_fiber(0, v, word_maps[(0, v)], 0 if v.side == "A" else -1)
     for k in range(1, n + 1):
-        st, prev = stages[k], stages[k - 1]
+        st = stages[k]
         a_ids = [word_maps[(k - 1, Vertex("A", a))] for a in range(na)]
         for b in range(nb):
             vtx = Vertex("B", b)
@@ -340,31 +332,18 @@ def stage_word_bijection(stages, n):
             if not fold(k, vtx, st.class_of_a[a], st.glue_a, b_ids, span.b_end):
                 return BijectionReport(n, tree, word_maps, rows, failures)
             check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k)
-
-        # naturality: inclusions keep words, bridges step across their edge
-        for v in span.vertices():
-            incl = st.incl_a[v.index] if v.side == "A" else st.incl_b[v.index]
-            natural(word_maps[(k - 1, v)], incl, word_maps[(k, v)], None,
-                    "stage %d: %s inclusion moves the word" % (k, v.side))
-        for s in range(len(span.edges)):
-            a, b = Vertex("A", span.a_end(s)), Vertex("B", span.b_end(s))
-            label = span.edge_label(s)
-            natural(word_maps[(k, b)], st.bwd_maps[s], word_maps[(k, a)], s,
-                    "stage %d: backward bridge over %s breaks naturality" % (k, label))
-            natural(word_maps[(k - 1, a)], prev.fwd_maps[s], word_maps[(k, b)], s,
-                    "stage %d: forward bridge over %s breaks naturality" % (k - 1, label))
     return BijectionReport(n, tree, word_maps, rows, failures)
 
 
 def stage_diagram(stages, vertex):
-    """Sequential diagram of one fiber's class ids, connected by inclusion."""
+    """One fiber's class ids, connected by inclusion: each stage's inl block."""
     if vertex.side == "A":
-        sizes = [st.sizes_a[vertex.index] for st in stages]
-        maps = [st.incl_a[vertex.index] for st in stages[1:]]
+        sizes = tuple(st.sizes_a[vertex.index] for st in stages)
+        class_ofs = [st.class_of_a[vertex.index] for st in stages[1:]]
     else:
-        sizes = [st.sizes_b[vertex.index] for st in stages]
-        maps = [st.incl_b[vertex.index] for st in stages[1:]]
-    return FinSeqDiagram(tuple(sizes), tuple(maps))
+        sizes = tuple(st.sizes_b[vertex.index] for st in stages)
+        class_ofs = [st.class_of_b[vertex.index] for st in stages[1:]]
+    return FinSeqDiagram(sizes, tuple(c[:left] for c, left in zip(class_ofs, sizes)))
 
 
 def construction_zigzag(stages, s):
@@ -372,7 +351,8 @@ def construction_zigzag(stages, s):
 
     Left side: A-side classes over the edge's A end, stages 0..m-1. Right
     side: B-side classes over its B end, stages 1..m. Forward maps are the
-    forward bridges, backward maps the backward bridges; constructing the
+    forward bridges (stages 1..m glue along them), backward maps the
+    backward bridges (stages 2..m glue along them); constructing the
     SeqZigzag checks both triangle families pointwise, which is exactly the
     statement that gluing identifies inclusion with a there-and-back bridge.
     """
@@ -382,6 +362,6 @@ def construction_zigzag(stages, s):
     a, b = stages[0].span.a_end(s), stages[0].span.b_end(s)
     left = truncate_diagram(stage_diagram(stages, Vertex("A", a)), m - 1)
     right = shift_diagram(stage_diagram(stages, Vertex("B", b)))
-    fwd = tuple(st.fwd_maps[s] for st in stages[:m])
-    bwd = tuple(st.bwd_maps[s] for st in stages[1:m])
+    fwd = tuple(st.glue_a[s] for st in stages[1:])
+    bwd = tuple(st.glue_b[s] for st in stages[2:])
     return SeqZigzag(left, right, fwd, bwd)

@@ -153,6 +153,8 @@ class WordTree:
             pairs = [
                 (x, s) for x in range(start, stop) for s in span.edges_at(end[x]) if s != last[x]
             ]
+            if not pairs:  # the ball stopped growing: the component is a tree
+                break
             far = to_b if d % 2 else to_a  # odd depths end on the B side
             nbr += [None] * (ne * len(pairs))
             for child, (x, s) in enumerate(pairs, stop):

@@ -126,6 +126,41 @@ def test_limit_output_is_pinned(capsys, name, vertex):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `stages <span> --up-to 4`, as text and with --json,
+# for every bundled span
+STAGES_DIGESTS = {
+    "circle": (
+        "8ee8e2ff145ec8d3e80cbd3e0ee9424fa9ce7fa8fad339838e305b9ec58d4f9f",
+        "9114e0122b0d442314e0bac48725ca202713d91047c18413d8b42015c4fe5a47",
+    ),
+    "coproduct": (
+        "9c5232d04456107cdb54d4a4717d0536ef47502fdf686ea26c6f86a0a642924c",
+        "c9490e17e09c0808d62791eb230dc7f5f7c184a8010e9c59258fc2a48e684681",
+    ),
+    "interval": (
+        "3d761588fc9d740d7eb8f9654d901cdd2f630b9137f2114f3e89379a8b1e08a2",
+        "46ca49dba8dbbdf222302335faec058934af692f5154c482ad46653c1ebefd8e",
+    ),
+    "theta": (
+        "1ff72df252924a152a1ebe1f9d86969b5885d0cdb56539e08917776ce48ae942",
+        "84503c1e1c3ec060b4f921d836f5f1c264667315376b0331da9e59a8a63093c9",
+    ),
+    "tree4": (
+        "249b85d84bc8c501af2c338ab52950040e2e9769d979e3ffe87f2b49f4612413",
+        "424b074fa62d6dcec4e39d134d4a893867b795d59afd2b9aa101edcbe1233950",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGES_DIGESTS))
+def test_stages_output_is_pinned(capsys, name):
+    argv = ["stages", str(SPAN_DIR / (name + ".span")), "--up-to", "4"]
+    for flags, digest in zip(([], ["--json"]), STAGES_DIGESTS[name]):
+        code, out, _ = run(capsys, argv + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_passes_on_circle(capsys):
     code, out, _ = run(
         capsys, ["check", CIRCLE, "--oracle", "--max-len", "6", "--stages", "3"]

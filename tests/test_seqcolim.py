@@ -250,21 +250,23 @@ def test_truncate_diagram_bounds():
 def test_seqcolim_suite_builds_each_diagram_and_limit_once(theta, monkeypatch):
     calls = {"stage_diagram": 0, "direct_limit": 0}
 
-    def counting(name):
-        original = getattr(checks, name)
+    def counting(module, name):
+        original = getattr(module, name)
 
         def counted(*args):
             calls[name] += 1
             return original(*args)
 
-        return counted
+        monkeypatch.setattr(module, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(checks, name, counting(name))
+    # map_of_limits builds the limits it is not given through seqcolim's own binding
+    for module, name in ((checks, "stage_diagram"), (checks, "direct_limit"), (seqcolim, "direct_limit")):
+        counting(module, name)
     results = checks.seqcolim_suite(theta, depth=3)
     assert all(result.ok for result in results)
-    # one limit per vertex, plus one for each vertex's shifted diagram
-    assert calls == {"stage_diagram": len(theta.vertices()), "direct_limit": 2 * len(theta.vertices())}
+    # one limit per vertex and per shifted diagram, and three per edge for map-composition
+    vertices, edges = len(theta.vertices()), len(theta.edges)
+    assert calls == {"stage_diagram": vertices, "direct_limit": 2 * vertices + 3 * edges}
 
 
 def reversed_images(induced):

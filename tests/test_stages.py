@@ -4,8 +4,9 @@ import random
 import pytest
 
 from spanpaths import checks
-from spanpaths.seqcolim import direct_limit
-from spanpaths.span import Vertex, parse_span
+from spanpaths import stages as stages_module
+from spanpaths.seqcolim import FinSeqDiagram, direct_limit
+from spanpaths.span import Vertex
 from spanpaths.stages import (
     build_stages,
     cogap_set,
@@ -36,9 +37,9 @@ def test_pushout_single_glue():
 
 def test_pushout_circle_first_a_stage(circle):
     # the stage-1 A gluing span: one old cell, two identifications, four bridged cells
-    st = build_stages(circle, 1)[1]
+    prev, st = build_stages(circle, 1)
     a0 = Vertex("A", 0)
-    left = len(st.incl_a[0])
+    left = prev.sizes_a[0]
     assert (left, st.glue_count(a0), len(st.class_of_a[0]) - left) == (1, 2, 4)
     assert len(st.glue_edges(a0)) == 2
     assert st.sizes_a[0] == 3
@@ -127,20 +128,24 @@ def test_zero_case_for_every_span(corpus):
             assert stage0.sizes_b[b] == 0
 
 
+def _block(stages, n, vertex, s):
+    """Class ids over edge s's inr block of one fiber at stage n."""
+    st = stages[n]
+    class_of = (st.class_of_a if vertex.side == "A" else st.class_of_b)[vertex.index]
+    cells = _decoded_cells(stages, n, vertex)
+    return [c for c, (tag, q) in zip(class_of, cells) if tag == "inr" and q[0] == s]
+
+
 def test_glue_edges_have_backtracking_shape(circle):
-    # every identification glues an included class to its there-and-back bridge
+    # every identification glues an included class to its there-and-back bridge:
+    # B glue follows the backward bridge, the previous stage's A block over s;
+    # A glue the forward bridge, this stage's B block over s
     stages = build_stages(circle, 3)
+    a0, b0 = Vertex("A", 0), Vertex("B", 0)
     for n in (1, 2, 3):
-        st = stages[n]
-        prev = stages[n - 1]
-        for inl_cell, inr_cell in st.glue_edges(Vertex("B", 0)):
-            _tag, p = inl_cell
-            _tag2, (s, image) = inr_cell
-            assert image == prev.bwd_maps[s][p]
-        for inl_cell, inr_cell in st.glue_edges(Vertex("A", 0)):
-            _tag, p = inl_cell
-            _tag2, (s, image) = inr_cell
-            assert image == prev.fwd_maps[s][p]
+        for vertex, other, k in ((b0, a0, n - 1), (a0, b0, n)):
+            for (_tag, p), (_tag2, (s, image)) in stages[n].glue_edges(vertex):
+                assert image == _block(stages, k, other, s)[p]
 
 
 def test_stage_word_bijection_circle(circle):
@@ -189,12 +194,32 @@ def test_cycle_diagnostic_zero_on_corpus(corpus):
 
 def test_inclusions_injective_on_classes(theta):
     stages = build_stages(theta, 3)
-    for n in (1, 2, 3):
-        st = stages[n]
-        images = [st.incl_a[0][p] for p in stages[n - 1].pa_classes(0)]
-        assert len(set(images)) == len(images)
-        images = [st.incl_b[0][p] for p in stages[n - 1].pb_classes(0)]
-        assert len(set(images)) == len(images)
+    for vertex in theta.vertices():
+        maps = stage_diagram(stages, vertex).maps
+        assert len(maps) == 3
+        assert all(len(set(images)) == len(images) for images in maps)
+
+
+def test_word_maps_are_natural_in_every_stage_map(corpus):
+    # inclusions keep the word; both bridges step across their edge
+    for span in corpus.values():
+        stages = build_stages(span, 4)
+        report = stage_word_bijection(stages, 4)
+        assert report.ok
+        words, step = report.word_maps, report.tree.step
+        for v in span.vertices():
+            for k, images in enumerate(stage_diagram(stages, v).maps):
+                assert all(words[(k + 1, v)][images[p]] == x for p, x in enumerate(words[(k, v)]))
+        for s in range(len(span.edges)):
+            a, b = Vertex("A", span.a_end(s)), Vertex("B", span.b_end(s))
+            z = construction_zigzag(stages, s)
+            squares = [((k, a), (k + 1, b), images) for k, images in enumerate(z.fwd)]
+            squares += [((k + 1, b), (k + 1, a), images) for k, images in enumerate(z.bwd)]
+            assert len(squares) == 7  # four forward and three backward bridges
+            for src, dst, images in squares:
+                assert all(
+                    words[dst][images[p]] == step(x, s) for p, x in enumerate(words[src])
+                )
 
 
 def test_colimit_agrees_with_enumeration(circle):
@@ -221,17 +246,17 @@ def test_construction_zigzag_triangles_hold(corpus):
             construction_zigzag(stages, s)
 
 
-def test_stage_word_bijection_reports_structured_counterexample():
-    # sabotage a backward bridge so the cocone over the next stage disagrees
-    span = parse_span("A a\nB b\nS s a b\nS t a b\nbase a\n")
-    stages = build_stages(span, 2)
-    broken = list(stages[1].bwd_maps[0])
-    if len(broken) >= 2:
-        broken[0], broken[1] = broken[1], broken[0]
-    stages[1] = dataclasses.replace(stages[1], bwd_maps=(tuple(broken),) + stages[1].bwd_maps[1:])
+def test_stage_word_bijection_reports_structured_counterexample(circle):
+    # sabotage a forward glue bridge so the A-side cocone of stage 2 disagrees
+    # (test_fold_rejects_inconsistent_cocone covers the B side)
+    stages = build_stages(circle, 2)
+    broken = list(stages[2].glue_a[0])
+    broken[0], broken[1] = broken[1], broken[0]
+    stages[2] = dataclasses.replace(stages[2], glue_a=(tuple(broken),) + stages[2].glue_a[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
-    assert report.failures
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("stage 2 A fiber a: inconsistent cocone")
 
 
 def test_theta_stages_to_six(theta):
@@ -311,3 +336,40 @@ def test_fold_rejects_inconsistent_cocone(theta):
 def test_stage_word_bijection_past_the_built_stages(theta):
     with pytest.raises(ValueError, match=r"needs stages 0\.\.3, got 0\.\.2"):
         stage_word_bijection(build_stages(theta, 2), 3)
+
+
+def _collapsed_inclusions(diagram):
+    # each inclusion sends every class where class 0 goes
+    def collapsed(stages, vertex):
+        d = diagram(stages, vertex)
+        return FinSeqDiagram(d.sizes, tuple(images[:1] * len(images) for images in d.maps))
+
+    return collapsed
+
+
+# check name -> (object, attribute, sabotage of the attribute's current value,
+# every row of run_all the sabotage flips), in the style of COLIMIT_SABOTAGE
+STAGE_SABOTAGE = {
+    "stages.zero-case": (
+        # the construction starts one stage late, so stage 0 is stage 1
+        checks, "build_stages", lambda build: lambda span, n: build(span, n + 1)[1:],
+        {"stages.zero-case", "stages.word-bijection", "stages.colimit-agreement"},
+    ),
+    "stages.word-bijection": (
+        # the fold drops the last class of every fiber
+        stages_module, "cogap_set", lambda cogap: lambda *args: cogap(*args)[:-1],
+        {"stages.word-bijection", "stages.colimit-agreement"},
+    ),
+    "stages.incl-injective": (
+        checks, "stage_diagram", _collapsed_inclusions,
+        {"stages.incl-injective", "stages.colimit-agreement"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_SABOTAGE))
+def test_stage_check_sabotage_flips_its_row(theta, monkeypatch, name):
+    target, attribute, sabotage, flipped = STAGE_SABOTAGE[name]
+    assert all(r.ok for r in checks.run_all(theta))
+    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
+    assert {r.name for r in checks.run_all(theta) if not r.ok} == flipped

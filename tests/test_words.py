@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -332,6 +333,23 @@ def test_tree_restricted_to_a_smaller_bound_is_that_tree(corpus):
                 for s in range(len(span.edges)):
                     y = big.step(x, s)
                     assert small.step(x, s) == (y if y is not None and y < n else None)
+
+
+@pytest.mark.parametrize("name", ["interval", "tree4"])
+def test_tree_stops_where_a_finite_cover_stops_growing(corpus, name):
+    # the universal cover of a tree is finite: a huge bound builds the same nodes, at once
+    span = corpus[name]
+    small = WordTree(span, 8)
+    start = time.perf_counter()
+    big = WordTree(span, 10**7)
+    assert time.perf_counter() - start < 1.0
+    assert (big.parent, big.last_edge, big.end, big.depth, big.at) == (
+        small.parent, small.last_edge, small.end, small.depth, small.at
+    )
+    for x in range(len(small.parent)):
+        assert [big.step(x, s) for s in range(len(span.edges))] == [
+            small.step(x, s) for s in range(len(span.edges))
+        ]
 
 
 def test_step_back_undoes_step_and_stops_at_the_bound(corpus):
