@@ -4,7 +4,9 @@ The walk enumerator and the rank computation work on the realized graph
 alone and deliberately share no logic with the word or stage modules; they
 are what the rest of the engine is cross-checked against. A walk is
 non-backtracking when no edge is immediately retraversed, which for a
-bipartite multigraph is exactly the reduced-word condition.
+bipartite multigraph is exactly the reduced-word condition. The walks from
+the basepoint are enumerated once, every endpoint together, and matched item
+for item against the reduced words.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .span import component_of, realize
-from .words import FWD, enumerate_words
+from .words import FWD, all_reduced_words
 
 
 @dataclass(frozen=True)
@@ -23,34 +25,25 @@ class Walk:
     edges: tuple
 
 
-def nbt_walks(graph, start, end, max_len):
-    """All non-backtracking walks from start to end of length <= max_len.
+def nbt_walks(graph, start, max_len):
+    """Every non-backtracking walk from start of length <= max_len.
 
-    Ordered by (length, lexicographic edge index sequence). The empty walk
-    is included when start equals end.
+    Ordered by (length, lexicographic edge index sequence), so the first is
+    the empty walk at start; each walk's endpoint is its last vertex.
     """
-    for v in (start, end):
-        if v not in graph.incidence:
-            raise ValueError("unknown vertex %r" % (v,))
-    out = []
-    frontier = [Walk((start,), ())]
-    if start == end:
-        out.append(frontier[0])
+    if start not in graph.incidence:
+        raise ValueError("unknown vertex %r" % (start,))
+    out = frontier = [Walk((start,), ())]
     for _ in range(max_len):
-        nxt = []
-        for walk in frontier:
-            at = walk.vertices[-1]
-            last = walk.edges[-1] if walk.edges else None
-            for e, other in graph.incidence[at]:
-                if e == last:
-                    continue
-                extended = Walk(walk.vertices + (other,), walk.edges + (e,))
-                nxt.append(extended)
-                if other == end:
-                    out.append(extended)
-        frontier = nxt
+        frontier = [
+            Walk(walk.vertices + (other,), walk.edges + (e,))
+            for walk in frontier
+            for e, other in graph.incidence[walk.vertices[-1]]
+            if not walk.edges or e != walk.edges[-1]
+        ]
         if not frontier:
             break
+        out += frontier
     return out
 
 
@@ -71,16 +64,16 @@ class WordWalkReport:
         return self.mismatch is None
 
 
-def compare_words_walks(span, endpoint, max_len):
+def compare_words_walks(span, max_len):
     """Check the step-for-step match between reduced words and walks.
 
-    The i-th enumerated word and the i-th enumerated walk must cross the
-    same edges in the same order, with forward steps traversing A to B and
+    The i-th of all reduced words and the i-th of all walks from the
+    basepoint, each enumerated once in canonical order, must cross the same
+    edges in the same order, with forward steps traversing A to B and
     backward steps B to A. Reports the first mismatch instead of raising.
     """
-    words = enumerate_words(span, endpoint, max_len)
-    graph = realize(span)
-    walks = nbt_walks(graph, span.base_vertex, endpoint, max_len)
+    words = all_reduced_words(span, max_len)
+    walks = nbt_walks(realize(span), span.base_vertex, max_len)
     if len(words) != len(walks):
         return WordWalkReport(
             len(words), "%d words but %d walks" % (len(words), len(walks))

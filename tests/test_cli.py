@@ -161,6 +161,41 @@ def test_stages_output_is_pinned(capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `check <span> --oracle`, as text and with --json,
+# for every bundled span; the details strings carry the round-trip and item counts
+CHECK_DIGESTS = {
+    "circle": (
+        "7bdaaee300c99a5f67502cae6927a49d2be0087b8985fa4a7cc5fb761f5c57e4",
+        "0d36e12d8276a1cf8fae8ee2fa3c7590b86b3382601da37d74e4e62fdfd79621",
+    ),
+    "coproduct": (
+        "ce85c9c15f1860302189b24d927999acd8c1f419ce619fd7a2a47d4ab0ac2dca",
+        "4a5259bcef76a1ae174536ff3a4f0212f9caf3415333e841a48660de7c918380",
+    ),
+    "interval": (
+        "2e6f5e0fb35d8900128628df903f6d0ec919346a751e1c8c0cc803cb42f1b7da",
+        "19de3a199a9aa9d1bead0919634f7e456337755566cce5cb6d21042bf5d98fd5",
+    ),
+    "theta": (
+        "d63ab0717e64fa0f3cd78f59658642b4c4d7d13343379717d3bbadb9aba44edd",
+        "c8014de81a0b6a2e60a0947f46c3c19e49e8920f751ad83505a58912beff4b6d",
+    ),
+    "tree4": (
+        "5eb4594c975e3cbd90d1f479cf10d1c03861405751c7cfd85fe2f7c6c20423f9",
+        "054c314d878a0d9cd92fd30db28db9fe1dadd6e89f227aa23cbeb6c9dced1b32",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
+def test_check_oracle_output_is_pinned(capsys, name):
+    argv = ["check", str(SPAN_DIR / (name + ".span")), "--oracle"]
+    for flags, digest in zip(([], ["--json"]), CHECK_DIGESTS[name]):
+        code, out, _ = run(capsys, argv + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_passes_on_circle(capsys):
     code, out, _ = run(
         capsys, ["check", CIRCLE, "--oracle", "--max-len", "6", "--stages", "3"]

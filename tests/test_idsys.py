@@ -132,6 +132,7 @@ def test_uniqueness_reports_first_disagreement(circle):
     report = uniqueness_check(fam, 0, Section(fam, corrupted))
     assert not report.ok
     assert ">s <t >s" in report.first_disagreement
+    assert report.checked == target + 1  # every word up to and including the corrupted one
 
 
 def test_encode_decode_interval(interval):
@@ -211,7 +212,8 @@ def test_family_validation_rejects_wrong_length_transition_table(circle, change)
         transitions.pop()
     else:
         transitions.append(transitions[-1])
-    with pytest.raises(ValueError, match="transition table incomplete or overfull"):
+    counts = "missing 1, extra 0" if change == "short" else "missing 0, extra 1"
+    with pytest.raises(ValueError, match=r"transition table incomplete or overfull \(%s\)" % counts):
         DescentFamily(circle, 3, fam.fibers, transitions)
 
 

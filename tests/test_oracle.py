@@ -1,37 +1,43 @@
 import pytest
 
+from spanpaths import checks, oracle
 from spanpaths.oracle import Walk, compare_words_walks, nbt_walks, pi1_rank
 from spanpaths.span import Vertex, realize
 
 
 def exact_length_counts(graph, start, max_len):
     counts = [0] * (max_len + 1)
-    for end in graph.vertices:
-        for walk in nbt_walks(graph, start, end, max_len):
-            counts[len(walk.edges)] += 1
+    for walk in nbt_walks(graph, start, max_len):
+        counts[len(walk.edges)] += 1
     return counts
 
 
+def walks_to(span, end, max_len):
+    # the walks from the basepoint that end at end, in enumeration order
+    walks = nbt_walks(realize(span), span.base_vertex, max_len)
+    return [walk for walk in walks if walk.vertices[-1] == end]
+
+
 def test_walks_circle(circle):
-    walks = nbt_walks(realize(circle), Vertex("A", 0), Vertex("A", 0), 4)
+    walks = walks_to(circle, Vertex("A", 0), 4)
     assert len(walks) == 5
     assert walks[0] == Walk((Vertex("A", 0),), ())
 
 
 def test_walks_interval(interval):
-    walks = nbt_walks(realize(interval), Vertex("A", 0), Vertex("A", 0), 10)
+    walks = walks_to(interval, Vertex("A", 0), 10)
     assert len(walks) == 1
     assert walks[0].edges == ()
 
 
 def test_walks_theta(theta):
-    walks = nbt_walks(realize(theta), Vertex("A", 0), Vertex("B", 0), 3)
+    walks = walks_to(theta, Vertex("B", 0), 3)
     assert len(walks) == 15  # 3 single crossings, 3*2*2 triple crossings
 
 
 def test_walks_are_ordered_and_valid(theta):
     graph = realize(theta)
-    walks = nbt_walks(graph, Vertex("A", 0), Vertex("B", 0), 5)
+    walks = walks_to(theta, Vertex("B", 0), 5)
     keys = [(len(w.edges), w.edges) for w in walks]
     assert keys == sorted(keys)
     for walk in walks:
@@ -45,7 +51,7 @@ def test_walks_are_ordered_and_valid(theta):
 
 def test_walks_unknown_vertex(circle):
     with pytest.raises(ValueError, match="unknown vertex"):
-        nbt_walks(realize(circle), Vertex("A", 9), Vertex("A", 0), 2)
+        nbt_walks(realize(circle), Vertex("A", 9), 2)
 
 
 @pytest.mark.parametrize(
@@ -65,24 +71,58 @@ def test_regular_degree_recurrence(circle, theta):
 
 
 def test_compare_words_walks_circle(circle):
-    report = compare_words_walks(circle, Vertex("A", 0), 6)
+    report = compare_words_walks(circle, 6)
     assert report.ok
-    assert report.count == 7
+    assert len(walks_to(circle, Vertex("A", 0), 6)) == 7
+    assert report.count == 7 + 6  # refl and 2 per even length to a; 2 per odd length to b
 
 
 def test_compare_words_walks_disconnected(coproduct):
-    report = compare_words_walks(coproduct, Vertex("A", 1), 8)
+    report = compare_words_walks(coproduct, 8)
     assert report.ok
-    assert report.count == 0
+    assert len(walks_to(coproduct, Vertex("A", 1), 8)) == 0
+    assert report.count == 1  # refl
 
 
 def test_compare_words_walks_theta(theta):
-    report = compare_words_walks(theta, Vertex("B", 0), 5)
+    report = compare_words_walks(theta, 5)
     assert report.ok
-    assert report.count == 63  # 3 + 12 + 48 crossing sequences
+    assert len(walks_to(theta, Vertex("B", 0), 5)) == 63  # 3 + 12 + 48 crossing sequences
+    assert report.count == 63 + 31  # and 1 + 6 + 24 back to a
 
 
 def test_compare_words_walks_full_corpus(corpus):
     for span in corpus.values():
-        for v in span.vertices():
-            assert compare_words_walks(span, v, 8).ok
+        assert compare_words_walks(span, 8).ok
+
+
+# case -> (bundled span, attribute of spanpaths.oracle, sabotage of its current
+# value, every row of run_all(..., with_oracle=True) the sabotage flips)
+ORACLE_SABOTAGE = {
+    "walks-drop-last": (
+        "theta", "nbt_walks", lambda walks: lambda *args: walks(*args)[:-1],
+        {"oracle.walk-bijection"},
+    ),
+    # a rank-0 claim on a rank-2 span: many words reach each vertex
+    "rank-0-on-theta": (
+        "theta", "pi1_rank", lambda rank: lambda *args: 0, {"oracle.rank-consistency"},
+    ),
+    # a positive rank on a tree: the word counts stop growing after length 1
+    "rank-1-on-interval": (
+        "interval", "pi1_rank", lambda rank: lambda *args: 1, {"oracle.rank-consistency"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_SABOTAGE))
+def test_oracle_check_sabotage_flips_its_row(corpus, monkeypatch, case):
+    name, attribute, sabotage, flipped = ORACLE_SABOTAGE[case]
+    span = corpus[name]
+    assert all(r.ok for r in checks.run_all(span, with_oracle=True))
+    monkeypatch.setattr(oracle, attribute, sabotage(getattr(oracle, attribute)))
+    assert {r.name for r in checks.run_all(span, with_oracle=True) if not r.ok} == flipped
+
+
+def test_every_oracle_check_has_a_sabotage(theta):
+    names = {r.name for r in checks.oracle_suite(theta)}
+    assert names == set().union(*(flipped for *_, flipped in ORACLE_SABOTAGE.values()))

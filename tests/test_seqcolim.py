@@ -262,7 +262,7 @@ def test_seqcolim_suite_builds_each_diagram_and_limit_once(theta, monkeypatch):
     # map_of_limits builds the limits it is not given through seqcolim's own binding
     for module, name in ((checks, "stage_diagram"), (checks, "direct_limit"), (seqcolim, "direct_limit")):
         counting(module, name)
-    results = checks.seqcolim_suite(theta, depth=3)
+    results = checks.seqcolim_suite(build_stages(theta, 3))
     assert all(result.ok for result in results)
     # one limit per vertex and per shifted diagram, and three per edge for map-composition
     vertices, edges = len(theta.vertices()), len(theta.edges)
@@ -318,6 +318,6 @@ def test_colimit_check_sabotage_flips_its_row(theta, monkeypatch, name):
 
 
 def test_every_limit_check_has_a_sabotage(theta):
-    names = {r.name for r in checks.seqcolim_suite(theta)}
+    names = {r.name for r in checks.seqcolim_suite(build_stages(theta, 3))}
     names |= {"stages.colimit-agreement", "stages.zigzag-equivalence"}
     assert names == set(COLIMIT_SABOTAGE)

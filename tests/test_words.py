@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from spanpaths import checks
+from spanpaths import checks, oracle, stages
 from spanpaths.oracle import nbt_walks
 from spanpaths.span import Vertex, realize
 from spanpaths.words import (
@@ -50,6 +50,13 @@ def test_reduce_rejects_malformed(circle):
         reduce_word(circle, w((FWD, S), (FWD, T)))
     with pytest.raises(WordError, match="alternate"):
         reduce_word(circle, w((BWD, S)))
+
+
+@pytest.mark.parametrize("edge", ["past the last", "negative"])
+def test_reduce_rejects_an_out_of_range_edge(circle, edge):
+    index = len(circle.edges) if edge == "past the last" else -1
+    with pytest.raises(WordError, match="edge index %d out of range" % index):
+        reduce_word(circle, w((FWD, index)))
 
 
 def test_reduce_rejects_endpoint_mismatch(tree4):
@@ -306,9 +313,9 @@ def test_tree_matches_the_oracle_walks_on_random_spans():
     for _ in range(30):
         span = checks.random_span(rng)
         tree = WordTree(span, 6)
-        graph = realize(span)
+        every_walk = nbt_walks(realize(span), span.base_vertex, 6)
         for v in span.vertices():
-            walks = nbt_walks(graph, span.base_vertex, v, 6)
+            walks = [walk for walk in every_walk if walk.vertices[-1] == v]
             decoded = [tree.word(x) for x in tree.at[v]]
             assert [tuple(step.edge for step in word) for word in decoded] == [
                 walk.edges for walk in walks
@@ -382,3 +389,22 @@ def test_run_all_builds_one_word_tree(theta, monkeypatch):
     monkeypatch.setattr(WordTree, "__init__", counting_init)
     checks.run_all(theta, with_oracle=True)
     assert built == [8]
+
+
+def test_run_all_builds_the_stages_once_and_enumerates_the_walks_once(theta, monkeypatch):
+    calls = {"build_stages": 0, "nbt_walks": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    # checks binds build_stages by name; compare_words_walks reads oracle's own binding
+    for module, name in ((checks, "build_stages"), (stages, "build_stages"), (oracle, "nbt_walks")):
+        counting(module, name)
+    checks.run_all(theta, with_oracle=True)
+    assert calls == {"build_stages": 1, "nbt_walks": 1}
