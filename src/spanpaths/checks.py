@@ -401,7 +401,7 @@ def idsys_suite(span, bound=6, seed=0):
         _result(
             "idsys.negative-controls",
             failures,
-            "corruption at %s detected" % format_word(span, tree.word(target)),
+            "corruption at %s detected" % tree.text(target),
         )
     )
     return results

@@ -143,7 +143,7 @@ def _cmd_limit(args):
         entry = {"stage": stage}
         if report.ok:
             node = report.word_maps[(stage, endpoint)][rep]
-            entry["word"] = format_word(span, report.tree.word(node))
+            entry["word"] = report.tree.text(node)
         reps.append(entry)
     payload = {
         "command": "limit",

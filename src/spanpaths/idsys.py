@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import WordTree, format_word, word_tree
+from .words import WordTree, word_tree
 
 
 def _links(tree, size):
@@ -94,7 +94,7 @@ class DescentFamily:
             if problem:
                 raise ValueError(
                     "transition (%s, %s) %s"
-                    % (self.span.edge_label(s), format_word(self.span, tree.word(a)), problem)
+                    % (self.span.edge_label(s), tree.text(a), problem)
                 )
 
 
@@ -198,7 +198,7 @@ def elim_section(fam, q0):
             a = p if forward else x
             raise ValueError(
                 "family window too small: transition at (%s, %s) is undefined on %r"
-                % (span.edge_label(tree.last_edge[x]), format_word(span, tree.word(a)), prev)
+                % (span.edge_label(tree.last_edge[x]), tree.text(a), prev)
             )
         values.append(table[prev])
     return Section(fam, values)
@@ -238,12 +238,12 @@ def check_computation(fam, q0, sec):
         if values[a] not in fwd:
             violations.append(
                 "transition (%s, %s) undefined on the section value %r"
-                % (span.edge_label(s), format_word(span, tree.word(a)), values[a])
+                % (span.edge_label(s), tree.text(a), values[a])
             )
         elif fwd[values[a]] != values[b]:
             violations.append(
                 "computation rule fails at %s across %s: %r != %r"
-                % (format_word(span, tree.word(a)), span.edge_label(s), fwd[values[a]], values[b])
+                % (tree.text(a), span.edge_label(s), fwd[values[a]], values[b])
             )
     return ComputationReport(checked, violations)
 
@@ -268,7 +268,7 @@ def uniqueness_check(fam, q0, sec):
     reference = elim_section(fam, q0).values
     for x, (got, want) in enumerate(zip(sec.values, reference)):
         if got != want:
-            word = format_word(fam.span, fam.tree.word(x))
+            word = fam.tree.text(x)
             return UniquenessReport(x + 1, "%s: %r != %r" % (word, got, want))
     return UniquenessReport(len(reference), None)
 
@@ -317,7 +317,7 @@ def encode_decode(span, bound):
     values = elim_section(fam, 0).values
     safe = tree.size(bound - 1)
     identity_mismatches = [
-        "%s folds to %s" % (format_word(span, tree.word(x)), format_word(span, tree.word(y)))
+        "%s folds to %s" % (tree.text(x), tree.text(y))
         for x, y in enumerate(values[:safe])
         if y != x
     ]
@@ -328,6 +328,6 @@ def encode_decode(span, bound):
         if fam.transitions[x][0].get(values[a]) != values[b]:
             nat_mismatches.append(
                 "fold does not commute with crossing %s at %s"
-                % (span.edge_label(s), format_word(span, tree.word(a)))
+                % (span.edge_label(s), tree.text(a))
             )
     return EncodeDecodeReport(safe, identity_mismatches, nat_checked, nat_mismatches)

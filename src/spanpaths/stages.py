@@ -81,18 +81,23 @@ def cogap_set(class_of, left, blocks, values):
     (pushout_pi0's result, or a stage's stored one); ``values`` gives every
     cell, inl block first, a value in a common codomain. Consistency (the
     two cells of every glue pair agree) is checked and a ValueError raised
-    otherwise. Returns a tuple of values indexed by class id.
+    otherwise; a block is compared whole with the inl block (list or tuple
+    values) and searched for its first bad inl cell only on a mismatch.
+    Returns a tuple of values indexed by class id.
     """
     offsets, total = _offsets(left, blocks)
     if len(class_of) != total or len(values) != total:
         raise ValueError("need one class id and one value for each of %d cells" % (total,))
-    for i, (offset, (_size, bridge)) in enumerate(zip(offsets, blocks)):
-        for p, q in enumerate(bridge):
-            if values[p] != values[offset + q]:
-                raise ValueError(
-                    "inconsistent cocone at inl cell %d, block %d: %r != %r"
-                    % (p, i, values[p], values[offset + q])
-                )
+    head = list(values[:left])
+    for i, (offset, (size, bridge)) in enumerate(zip(offsets, blocks)):
+        block = values[offset : offset + size]
+        if [block[q] for q in bridge] != head:
+            for p, q in enumerate(bridge):
+                if head[p] != block[q]:
+                    raise ValueError(
+                        "inconsistent cocone at inl cell %d, block %d: %r != %r"
+                        % (p, i, head[p], block[q])
+                    )
     out = []
     for cell, (cls, value) in enumerate(zip(class_of, values)):
         if cls == len(out):
@@ -252,13 +257,13 @@ def stage_word_bijection(stages, n):
     """Match stage classes with reduced words, stage by stage up to n.
 
     Each cell is labelled with a word-tree node by folding the stage's gluing
-    span through cogap_set: included cells keep their previous node, bridged
-    cells step across their edge. The report records, per fiber, whether the
-    class labelling is a bijection onto the words within the stage bound
-    (2n on the A side, 2n - 1 on the B side). Mismatches are reported, not
-    raised. One tree of bound 2n serves every stage: canonical order is
-    length-first, so each fiber's words are a prefix of its endpoint's id
-    list.
+    span through cogap_set: included cells keep their previous node, and the
+    block of edge s reads its nodes off the tree's column ``across[s]``. The
+    report records, per fiber, whether the class labelling is a bijection
+    onto the words within the stage bound (2n on the A side, 2n - 1 on the B
+    side). Mismatches are reported, not raised. One tree of bound 2n serves
+    every stage: canonical order is length-first, so each fiber's words are a
+    prefix of its endpoint's id list.
 
     A successful fold is also natural in every stage map. cogap_set checks
     that the labelling is constant on each class and agrees across every
@@ -272,7 +277,7 @@ def stage_word_bijection(stages, n):
     span = stages[0].span
     na, nb = len(span.a_vertices), len(span.b_vertices)
     tree = word_tree(span, 2 * n)
-    step = tree.step
+    across = tree.across
     word_maps = {}
     rows = []
     failures = []
@@ -301,7 +306,7 @@ def stage_word_bijection(stages, n):
         for s in span.edges_at(vtx):
             block = other_ids[other_end(s)]
             blocks.append((len(block), glue[s]))
-            values += [step(x, s) for x in block]
+            values += map(across[s].__getitem__, block)
         try:
             word_maps[(k, vtx)] = cogap_set(class_of, len(left), blocks, values)
         except ValueError:

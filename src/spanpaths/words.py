@@ -134,40 +134,48 @@ class WordTree:
     ``last_edge`` (the edge of the last step, -1 at refl), ``end`` (the
     endpoint Vertex) and ``depth`` (the length) are lists indexed by id;
     ``at[v]`` lists the ids of the words ending at v in canonical order.
+    ``across[s][x]``, edge s's neighbour column, is ``step(x, s)``.
     """
 
     def __init__(self, span, bound):
         ne = len(span.edges)
         to_b = [Vertex("B", span.b_end(s)) for s in range(ne)]
         to_a = [Vertex("A", span.a_end(s)) for s in range(ne)]
-        self.span, self.bound, self._ne = span, bound, ne
+        incident = {v: span.edges_at(v) for v in span.vertices()}
+        self.span, self.bound = span, bound
         self.parent = parent = [-1]
         self.last_edge = last = [-1]
         self.end = end = [span.base_vertex]
         self.depth = depth = [0]
-        self._nbr = nbr = [None] * ne  # node * |S| + s -> the node across edge s
-        self._steps = ([Step(FWD, s) for s in range(ne)], [Step(BWD, s) for s in range(ne)])
+        self.across = across = [[None] for _ in range(ne)]
+        self._steps = [[Step(d, s) for s in range(ne)] for d in (BWD, FWD)]  # by depth parity
+        self._tokens = [[format_word(span, (step,)) for step in row] for row in self._steps]
         start = 0
         for d in range(1, bound + 1):
             stop = len(parent)
-            pairs = [
-                (x, s) for x in range(start, stop) for s in span.edges_at(end[x]) if s != last[x]
-            ]
-            if not pairs:  # the ball stopped growing: the component is a tree
+            parents, edges = [], []
+            for x, v, e in zip(range(start, stop), end[start:stop], last[start:stop]):
+                for s in incident[v]:
+                    if s != e:
+                        parents.append(x)
+                        edges.append(s)
+            if not parents:  # the ball stopped growing: the component is a tree
                 break
             far = to_b if d % 2 else to_a  # odd depths end on the B side
-            nbr += [None] * (ne * len(pairs))
-            for child, (x, s) in enumerate(pairs, stop):
-                nbr[x * ne + s] = child
-                nbr[child * ne + s] = x
-            parent += [x for x, _ in pairs]
-            last += [s for _, s in pairs]
-            end += [far[s] for _, s in pairs]
-            depth += [d] * len(pairs)
+            for column in across:
+                column += [None] * len(parents)
+            for child, x, s in zip(range(stop, stop + len(parents)), parents, edges):
+                column = across[s]
+                column[x] = child
+                column[child] = x
+            parent += parents
+            last += edges
+            end += map(far.__getitem__, edges)
+            depth += [d] * len(parents)
             start = stop
-        self.at = {v: [] for v in span.vertices()}
+        self.at = at = {v: [] for v in span.vertices()}
         for x, v in enumerate(end):
-            self.at[v].append(x)
+            at[v].append(x)
 
     def size(self, bound):
         """Number of nodes of depth <= ``bound``, for any bound up to the tree's own."""
@@ -180,20 +188,29 @@ class WordTree:
         the child across s; None when that child lies beyond the bound or s
         is not at the endpoint.
         """
-        return self._nbr[node * self._ne + s]
+        return self.across[s][node]
 
     def nodes_at(self, vertex, bound):
         """Ids of the words to ``vertex`` of length <= ``bound``, in canonical order."""
         ids = self.at[vertex]
         return ids[: bisect_left(ids, self.size(bound))]
 
+    def _path(self, node, tables):
+        parent, depth, last = self.parent, self.depth, self.last_edge
+        out = []
+        while node > 0:
+            out.append(tables[depth[node] % 2][last[node]])
+            node = parent[node]
+        out.reverse()
+        return out
+
     def word(self, node):
         """Decode a node id to its tuple word."""
-        steps = []
-        while node > 0:
-            steps.append(self._steps[1 - self.depth[node] % 2][self.last_edge[node]])
-            node = self.parent[node]
-        return tuple(reversed(steps))
+        return tuple(self._path(node, self._steps))
+
+    def text(self, node):
+        """Render a node in the text syntax: ``format_word(span, self.word(node))``."""
+        return " ".join(self._path(node, self._tokens)) or format_word(self.span, ())
 
 
 _last_tree = None  # a weak reference to the last tree built
@@ -265,6 +282,4 @@ def format_word(span, word):
     """Render a word in the text syntax; inverse of parse_word."""
     if not word:
         return "refl"
-    return " ".join(
-        (">" if step.direction == FWD else "<") + span.edge_label(step.edge) for step in word
-    )
+    return " ".join([(">" if d == FWD else "<") + span.edges[s][0] for d, s in word])

@@ -70,6 +70,18 @@ def test_cogap_rejects_inconsistent_cocone():
         cogap_set(class_of, *SINGLE_GLUE, [0, 1])
 
 
+@pytest.mark.parametrize("container", [list, tuple])
+def test_cogap_reports_the_first_bad_cell_of_a_later_block(container):
+    # three inl cells, each glued into two blocks; block 1 permutes its cells
+    # and disagrees at inl cells 1 and 2, so the first bad pair is (1, block 1)
+    left, blocks = 3, ((3, (0, 1, 2)), (3, (2, 0, 1)))
+    class_of, _ = pushout_pi0(left, blocks)
+    values = container([10, 11, 12, 10, 11, 12, 99, 98, 10])
+    with pytest.raises(ValueError) as exc:
+        cogap_set(class_of, left, blocks, values)
+    assert str(exc.value) == "inconsistent cocone at inl cell 1, block 1: 11 != 99"
+
+
 def test_cogap_rejects_a_value_count_that_is_not_the_cell_count():
     with pytest.raises(ValueError, match="one value for each of 2 cells"):
         cogap_set((0, 0), *SINGLE_GLUE, [7])
@@ -255,8 +267,10 @@ def test_stage_word_bijection_reports_structured_counterexample(circle):
     stages[2] = dataclasses.replace(stages[2], glue_a=(tuple(broken),) + stages[2].glue_a[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
-    assert len(report.failures) == 1
-    assert report.failures[0].startswith("stage 2 A fiber a: inconsistent cocone")
+    assert report.failures == [
+        "stage 2 A fiber a: inconsistent cocone at inl cell 0, block 0: "
+        "() != (Step(direction=0, edge=1), Step(direction=1, edge=0))"
+    ]
 
 
 def test_theta_stages_to_six(theta):
@@ -329,8 +343,10 @@ def test_fold_rejects_inconsistent_cocone(theta):
     stages[2] = dataclasses.replace(stages[2], glue_b=(tuple(bridge),) + stages[2].glue_b[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
-    assert len(report.failures) == 1
-    assert report.failures[0].startswith("stage 2 B fiber b: inconsistent cocone")
+    assert report.failures == [
+        "stage 2 B fiber b: inconsistent cocone at inl cell 0, block 0: "
+        "(Step(direction=0, edge=0),) != (Step(direction=0, edge=1),)"
+    ]
 
 
 def test_stage_word_bijection_past_the_built_stages(theta):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -5,7 +6,7 @@ import pytest
 
 from spanpaths import checks, oracle, stages
 from spanpaths.oracle import nbt_walks
-from spanpaths.span import Vertex, realize
+from spanpaths.span import FiniteSpan, Vertex, realize, serialize_span
 from spanpaths.words import (
     BWD,
     FWD,
@@ -206,6 +207,23 @@ def test_sampler_draws_are_the_reference_draws(corpus, seed):
         assert ours.random() == ref.random()
 
 
+# sha256 of serialize_span over five draws of checks.random_span(Random(seed))
+RANDOM_SPAN_DIGESTS = {
+    0: "95ebbe58ca7e7effbe65f9b0ba431ba6d39902c12a86090a56b874ca27256337",
+    1: "b583333f46e2554e219c1f83ef10137c37859254ff137b23db7f9818f1e26841",
+    2: "f2dde0e3c3f6c9d6e39d021b3b9602e0a3b1e92fb58fc36c8bf50f13a57cb4bd",
+    3: "2b4d5377d885d3ee2f1c8826d2443c7f2ff296b9903f36ff3fa8e40eb9c9585b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_SPAN_DIGESTS))
+def test_random_span_draws_are_pinned(seed):
+    # the walk-count screen decides which draws are kept, so it shows here too
+    rng = random.Random(seed)
+    text = "".join(serialize_span(checks.random_span(rng)) for _ in range(5))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SPAN_DIGESTS[seed]
+
+
 def test_reduce_confluence_checks_each_distinct_sample_once(theta, monkeypatch):
     checked = []
     validate = checks.validate_word
@@ -357,6 +375,36 @@ def test_tree_stops_where_a_finite_cover_stops_growing(corpus, name):
         assert [big.step(x, s) for s in range(len(span.edges))] == [
             small.step(x, s) for s in range(len(span.edges))
         ]
+
+
+K33 = FiniteSpan(
+    ("a0", "a1", "a2"),
+    ("b0", "b1", "b2"),
+    tuple(("s%d%d" % (a, b), a, b) for a in range(3) for b in range(3)),
+    0,
+)
+
+
+@pytest.mark.parametrize("name", ["circle", "interval", "theta", "tree4", "coproduct", "k33"])
+def test_tree_columns_and_text_agree_with_step_and_format_word(corpus, name):
+    span, bound = (K33, 8) if name == "k33" else (corpus[name], 6)
+    tree = WordTree(span, bound)
+    assert not hasattr(tree, "_nbr")
+    assert len(tree.across) == len(span.edges)
+    # the columns, read against the parent links alone: back across the last
+    # edge, forward to the child across any other, None past the bound
+    children = {(p, e): y for y, (p, e) in enumerate(zip(tree.parent, tree.last_edge)) if y}
+    for x in range(len(tree.parent)):
+        assert tree.text(x) == format_word(span, tree.word(x))
+        for s in range(len(span.edges)):
+            across = tree.parent[x] if tree.last_edge[x] == s else children.get((x, s))
+            assert tree.across[s][x] == tree.step(x, s) == across
+
+
+def test_text_of_refl_on_an_edgeless_span(coproduct):
+    tree = WordTree(coproduct, 4)
+    assert tree.across == [] and len(tree.parent) == 1
+    assert tree.text(0) == "refl"
 
 
 def test_step_back_undoes_step_and_stops_at_the_bound(corpus):
