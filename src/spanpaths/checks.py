@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import idsys, oracle
 from .seqcolim import (
     SeqMorphism,
+    class_labels,
     compose_morphisms,
     direct_limit,
     half_shift,
@@ -30,6 +31,7 @@ from .stages import (
     cycle_diagnostic,
     stage_diagram,
     stage_word_bijection,
+    word_bound,
 )
 from .words import (
     BWD,
@@ -62,24 +64,25 @@ def _result(name, failures, detail_ok=""):
 
 # ---------------------------------------------------------------- words
 
+# words.reduce-confluence checks SAMPLES random walks of up to SAMPLE_LEN steps
+SAMPLES = 1000
+SAMPLE_LEN = 12
+
 
 def _move_table(span):
     # vertex -> ((Step, far Vertex), ...) in edges_at order, each Step built once
-    table = {}
-    for v in span.vertices():
-        if v.side == "A":
-            table[v] = tuple((Step(FWD, s), Vertex("B", span.b_end(s))) for s in span.edges_at(v))
-        else:
-            table[v] = tuple((Step(BWD, s), Vertex("A", span.a_end(s))) for s in span.edges_at(v))
-    return table
+    return {
+        v: tuple((Step(FWD if v.side == "A" else BWD, s), w) for s, w in moves)
+        for v, moves in realize(span).incidence.items()
+    }
 
 
-def _random_walk(table, start, rng, max_len):
+def _random_walk(table, start, rng):
     # the steps of a random walk from start, and where it stops
     word = []
     at = start
     choice = rng.choice
-    for _ in range(rng.randint(0, max_len)):
+    for _ in range(rng.randint(0, SAMPLE_LEN)):
         options = table[at]
         if not options:
             break
@@ -88,12 +91,12 @@ def _random_walk(table, start, rng, max_len):
     return tuple(word), at
 
 
-def random_unreduced_word(span, rng, max_len=12):
+def random_unreduced_word(span, rng):
     """A structurally valid, possibly backtracking word from the basepoint."""
-    return _random_walk(_move_table(span), span.base_vertex, rng, max_len)[0]
+    return _random_walk(_move_table(span), span.base_vertex, rng)[0]
 
 
-def word_suite(span, max_len=8, seed=0, samples=1000):
+def word_suite(span, max_len=8, seed=0):
     results = []
     rng = random.Random(seed)
     tree = word_tree(span, max_len)
@@ -131,8 +134,8 @@ def word_suite(span, max_len=8, seed=0, samples=1000):
     far = {step: v for options in table.values() for step, v in options}
     base = span.base_vertex
     seen = set()
-    for _ in range(samples):
-        raw, end = _random_walk(table, base, rng, 12)
+    for _ in range(SAMPLES):
+        raw, end = _random_walk(table, base, rng)
         if raw in seen:
             continue
         seen.add(raw)
@@ -147,7 +150,7 @@ def word_suite(span, max_len=8, seed=0, samples=1000):
             failures.append("normal form of %s moves the endpoint" % format_word(span, raw))
         if (len(raw) - len(left)) % 2:
             failures.append("normal form of %s drops an odd step count" % format_word(span, raw))
-    results.append(_result("words.reduce-confluence", failures, "%d samples" % samples))
+    results.append(_result("words.reduce-confluence", failures, "%d samples" % SAMPLES))
 
     failures = []
     for w in words:
@@ -193,13 +196,11 @@ def stage_suite(stages):
     results = []
     span, depth = stages[0].span, len(stages) - 1
 
-    failures = []
-    for a, size in enumerate(stages[0].sizes_a):
-        if size != (1 if a == span.basepoint else 0):
-            failures.append("stage 0 A fiber %s has %d classes" % (span.a_vertices[a], size))
-    for b, size in enumerate(stages[0].sizes_b):
-        if size != 0:
-            failures.append("stage 0 B fiber %s is not empty" % (span.b_vertices[b],))
+    failures = [
+        "stage 0 %s fiber %s has %d classes" % (v.side, span.vertex_label(v), size)
+        for v, size in stages[0].sizes.items()
+        if size != (1 if v == span.base_vertex else 0)
+    ]
     results.append(_result("stages.zero-case", failures))
 
     report = stage_word_bijection(stages, depth)
@@ -233,17 +234,9 @@ def stage_suite(stages):
     if report.ok:
         for v, diagram in zip(vertices, diagrams):
             limit = direct_limit(diagram)
-            bound = 2 * depth if v.side == "A" else 2 * depth - 1
-            expected = report.tree.nodes_at(v, bound)
-            labels = [None] * limit.class_count
-            mixed = False
-            for k in range(depth + 1):
-                for x, word in enumerate(report.word_maps[(k, v)]):
-                    c = limit.find(k, x)
-                    if labels[c] is None:
-                        labels[c] = word
-                    elif labels[c] != word:
-                        mixed = True
+            expected = report.tree.nodes_at(v, word_bound(depth, v))
+            nodes = [x for k in range(depth + 1) for x in report.word_maps[(k, v)]]
+            labels, mixed = class_labels(limit.class_of, limit.class_count, nodes)
             if mixed:
                 failures.append("limit class at %s mixes words" % span.vertex_label(v))
             if len(labels) != len(expected) or set(labels) != set(expected):
@@ -318,10 +311,12 @@ def seqcolim_suite(stages, seed=0):
 
     failures = []
     for v, diagram, lim in zip(vertices, diagrams, limits):
-        shifted = shift_diagram(diagram)
-        lim_shift = direct_limit(shifted)
-        image = {lim.find(n + 1, x) for n, size in enumerate(shifted.sizes) for x in range(size)}
-        if lim_shift.class_count != lim.class_count or len(image) != lim.class_count:
+        lim_shift = direct_limit(shift_diagram(diagram))
+        # level n of the shifted diagram is level n + 1: the canonical inclusion's class map
+        image, mixed = class_labels(
+            lim_shift.class_of, lim_shift.class_count, lim.class_of[diagram.sizes[0] :]
+        )
+        if mixed or lim_shift.class_count != lim.class_count or len(set(image)) != lim.class_count:
             failures.append("shift changed the limit at %s" % span.vertex_label(v))
     results.append(_result("seqcolim.shift-invariance", failures))
 
@@ -409,6 +404,14 @@ def idsys_suite(span, bound=6, seed=0):
 
 # ---------------------------------------------------------------- random spans
 
+# random_span's size bounds and walk screen; random_span_suite's size and depth
+RANDOM_MAX_SIDE = 5
+RANDOM_MAX_EDGES = 8
+RANDOM_MAX_LEN = 8
+RANDOM_WALK_BUDGET = 4000
+SUITE_SPANS = 100
+SUITE_DEPTH = 4
+
 
 def _nbt_count(span, max_len):
     # walk counts by (last edge) state; cheap screen before any enumeration
@@ -433,40 +436,40 @@ def _nbt_count(span, max_len):
     return total
 
 
-def random_span(rng, max_side=5, max_edges=8, max_len=8, walk_budget=4000):
+def random_span(rng):
     """A seeded random span within the size bounds, screened for desk scale.
 
-    Spans whose non-backtracking walk count up to max_len exceeds the budget
-    are redrawn (deterministically, from the same stream); accepted spans
-    still satisfy the |A|, |B| and |S| bounds.
+    Spans over RANDOM_WALK_BUDGET non-backtracking walks of length at most
+    RANDOM_MAX_LEN are redrawn (deterministically, from the same stream);
+    accepted spans still satisfy the RANDOM_MAX_* size bounds.
     """
     while True:
-        na = rng.randint(1, max_side)
-        nb = rng.randint(1, max_side)
-        ns = rng.randint(0, max_edges)
+        na = rng.randint(1, RANDOM_MAX_SIDE)
+        nb = rng.randint(1, RANDOM_MAX_SIDE)
+        ns = rng.randint(0, RANDOM_MAX_EDGES)
         span = FiniteSpan(
             tuple("a%d" % i for i in range(na)),
             tuple("b%d" % j for j in range(nb)),
             tuple(("s%d" % k, rng.randrange(na), rng.randrange(nb)) for k in range(ns)),
             rng.randrange(na),
         )
-        if _nbt_count(span, max_len) <= walk_budget:
+        if _nbt_count(span, RANDOM_MAX_LEN) <= RANDOM_WALK_BUDGET:
             return span
 
 
-def random_span_suite(count=100, seed=0, max_len=8, stage_depth=4):
+def random_span_suite(seed=0):
     """Walk-oracle and stage-bijection cross-check over seeded random spans."""
     rng = random.Random(seed)
     failures = []
-    for i in range(count):
-        span = random_span(rng, max_len=max_len)
-        report = oracle.compare_words_walks(span, max_len)
+    for i in range(SUITE_SPANS):
+        span = random_span(rng)
+        report = oracle.compare_words_walks(span, RANDOM_MAX_LEN)
         if not report.ok:
             failures.append("span %d: %s" % (i, report.mismatch))
-        bij = stage_word_bijection(build_stages(span, stage_depth), stage_depth)
+        bij = stage_word_bijection(build_stages(span, SUITE_DEPTH), SUITE_DEPTH)
         if not bij.ok:
             failures.append("span %d: %s" % (i, bij.failures[0]))
-    return [_result("random-spans.cross-check", failures, "%d spans" % count)]
+    return [_result("random-spans.cross-check", failures, "%d spans" % SUITE_SPANS)]
 
 
 # ---------------------------------------------------------------- aggregate

@@ -12,6 +12,7 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 
@@ -46,6 +47,22 @@ def partition(total, glue):
         else:
             class_of[c] = class_of[p]
     return tuple(class_of), count
+
+
+def class_labels(class_of, count, labels):
+    """Each class's label at its least labelled cell, and the classes whose labels disagree.
+
+    ``labels`` labels the first cells of ``class_of``, a partition into
+    ``count`` classes; a class with no labelled cell reads None.
+    """
+    out = [None] * count
+    disagree = set()
+    for c, label in zip(class_of, labels):
+        if out[c] is None:
+            out[c] = label
+        elif out[c] != label:
+            disagree.add(c)
+    return out, disagree
 
 
 def _check_map(images, size, target, what):
@@ -105,14 +122,10 @@ class DirectLimit:
 
     def representatives(self):
         """The least ``(n, x)`` pair of each class, in class id order."""
-        reps = []
-        class_of = self.class_of
-        ends = self.offsets[1:] + (len(class_of),)
-        for n, (start, end) in enumerate(zip(self.offsets, ends)):
-            for x in range(end - start):
-                if class_of[start + x] == len(reps):
-                    reps.append((n, x))
-        return reps
+        cells, _ = class_labels(self.class_of, self.class_count, range(len(self.class_of)))
+        # a cell's level is the last one starting at or before it
+        levels = [bisect_right(self.offsets, cell) - 1 for cell in cells]
+        return [(n, cell - self.offsets[n]) for n, cell in zip(levels, cells)]
 
 
 def direct_limit(d):
@@ -166,24 +179,10 @@ def compose_morphisms(outer, inner):
     return SeqMorphism(inner.source, outer.target, levels)
 
 
-def _induced(lim_src, lim_tgt, levels, shift=0):
-    """Class images of per-level maps from level n into target level n + shift.
-
-    Returns the target class id of each source class (None for a class with
-    no element in a mapped level) and the set of source classes whose
-    elements' images disagree.
-    """
-    src_of, tgt_of = lim_src.class_of, lim_tgt.class_of
-    out = [None] * lim_src.class_count
-    broken = set()
-    for start, offset, level in zip(lim_src.offsets, lim_tgt.offsets[shift:], levels):
-        for c, y in zip(src_of[start : start + len(level)], level):
-            image = tgt_of[offset + y]
-            if out[c] is None:
-                out[c] = image
-            elif out[c] != image:
-                broken.add(c)
-    return out, broken
+def _image_classes(lim, levels, shift=0):
+    """The class in ``lim`` of each image of ``levels[n]``, a map into level n + shift."""
+    class_of = lim.class_of
+    return [class_of[offset + y] for offset, level in zip(lim.offsets[shift:], levels) for y in level]
 
 
 def map_of_limits(m, source_limit=None, target_limit=None):
@@ -195,7 +194,8 @@ def map_of_limits(m, source_limit=None, target_limit=None):
     """
     lim_src = source_limit if source_limit is not None else direct_limit(m.source)
     lim_tgt = target_limit if target_limit is not None else direct_limit(m.target)
-    out, broken = _induced(lim_src, lim_tgt, m.levels)
+    images = _image_classes(lim_tgt, m.levels)
+    out, broken = class_labels(lim_src.class_of, lim_src.class_count, images)
     if broken:
         raise ValueError(
             "induced map is not constant on the class of %r"
@@ -300,7 +300,8 @@ def zigzag_equivalence(z):
     lim_right = direct_limit(z.right)
     forward = map_of_limits(zigzag_to_morphism(z), lim_left, lim_right)
     right_reps = lim_right.representatives()
-    backward, broken = _induced(lim_right, lim_left, z.bwd, 1)
+    images = _image_classes(lim_left, z.bwd, 1)
+    backward, broken = class_labels(lim_right.class_of, lim_right.class_count, images)
     failures = [
         "backward map not constant on the class of %r" % (right_reps[c],) for c in sorted(broken)
     ]

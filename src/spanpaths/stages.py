@@ -19,11 +19,13 @@ cell p with cell ``offset_s + bridge_s[p]``. Connected components, computed
 by seqcolim.partition (the union-find behind direct limits too), are the
 stage's classes, numbered ``0..k-1`` in order of their least cell.
 
-A stage stores only its gluing span and its partition; every map of the
-construction is a block of cells read off a pushout. A fiber's inclusion is
-its inl block, ``class_of[:L]``; the forward bridge out of stage n over edge
-s is the block of s in the stage n + 1 B fiber, the backward bridge the block
-of s in the stage n A fiber, each kept once, as the bridge the next stage's
+A stage stores only its gluing span and its partition: one fiber table,
+``class_of[v]`` and ``sizes[v]`` keyed by Vertex on both sides, and the
+bridges its gluing followed, indexed by edge. Every map of the construction
+is a block of cells read off a pushout. A fiber's inclusion is its inl
+block, ``class_of[v][:L]``; the forward bridge out of stage n over edge s is
+the block of s in the stage n + 1 B fiber, the backward bridge the block of
+s in the stage n A fiber, each kept once, as the bridge the next stage's
 gluing follows. Provenance is decoded only where it is reported
 (glue_edges). The stored bridges let the identifications be refolded
 (cogap_set) against independent data, most importantly the reduced-word
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .seqcolim import FinSeqDiagram, SeqZigzag, partition, shift_diagram, truncate_diagram
-from .span import Vertex
+from .span import Vertex, realize
 from .words import WordTree, word_tree
 
 
@@ -114,36 +116,40 @@ def cogap_set(class_of, left, blocks, values):
 class StageFamily:
     """One stage of the construction, built once by build_stages.
 
-    ``class_of_a[a]`` gives every integer cell of A fiber a its class id
-    (inl block of the previous stage's classes, then one block per incident
-    edge in ``edges_at`` order); ``sizes_a[a]`` is its class count; likewise
-    for B. ``glue_a[s]`` and ``glue_b[s]`` are the bridges the gluing over
-    edge s followed, tuples indexed by previous class id: the forward bridge
-    out of the previous stage (its A classes over the edge's A end into this
-    stage's B classes) and its backward bridge (its B classes into its A
-    classes). Stage 0 glues nothing, so both are empty there. Inclusions are
-    not stored: fiber v's is ``class_of[:L]`` for L the previous stage's
-    class count at v (stage_diagram).
+    ``class_of[v]`` gives every integer cell of the fiber over vertex v its
+    class id (inl block of the previous stage's classes, then one block per
+    incident edge in ``edges_at`` order); ``sizes[v]`` is its class count.
+    Both are keyed by Vertex in build order: the B fibers, then the A
+    fibers, each side in declaration order.
+    ``glue_a[s]`` and ``glue_b[s]`` are the bridges the gluing over edge s
+    followed, tuples indexed by previous class id: the forward bridge out of
+    the previous stage (its A classes over the edge's A end into this stage's
+    B classes) and its backward bridge (its B classes into its A classes).
+    Stage 0 glues nothing, so both are empty there. Inclusions are not
+    stored: fiber v's is ``class_of[v][:L]`` for L the previous stage's class
+    count at v (stage_diagram).
     """
 
     span: object
     n: int
-    class_of_a: tuple
-    class_of_b: tuple
-    sizes_a: tuple
-    sizes_b: tuple
+    class_of: dict
+    sizes: dict
     glue_a: tuple
     glue_b: tuple
 
     def pa_classes(self, a):
-        return range(self.sizes_a[a])
+        return range(self.sizes[Vertex("A", a)])
 
     def pb_classes(self, b):
-        return range(self.sizes_b[b])
+        return range(self.sizes[Vertex("B", b)])
+
+    def glue(self, vertex):
+        """The bridges, indexed by edge, that the gluing of ``vertex``'s fiber followed."""
+        return self.glue_a if vertex.side == "A" else self.glue_b
 
     def glue_count(self, vertex):
         """Number of gluing identifications in one fiber."""
-        glue = self.glue_a if vertex.side == "A" else self.glue_b
+        glue = self.glue(vertex)
         return sum(len(glue[s]) for s in self.span.edges_at(vertex))
 
     def glue_edges(self, vertex):
@@ -151,12 +157,17 @@ class StageFamily:
 
         p is a previous class of the fiber, q a class at edge s's other end.
         """
-        glue = self.glue_a if vertex.side == "A" else self.glue_b
+        glue = self.glue(vertex)
         return tuple(
             (("inl", p), ("inr", (s, q)))
             for s in self.span.edges_at(vertex)
             for p, q in enumerate(glue[s])
         )
+
+
+def word_bound(n, vertex):
+    """Length bound of the words over ``vertex`` at stage n: 2n on A, 2n - 1 on B."""
+    return 2 * n if vertex.side == "A" else 2 * n - 1
 
 
 def _glue_side(left_sizes, edges_at, block_sizes, bridges):
@@ -189,25 +200,27 @@ def build_stages(span, n_max):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     na, nb, ne = len(span.a_vertices), len(span.b_vertices), len(span.edges)
-    edges_at_a = [span.edges_at(Vertex("A", a)) for a in range(na)]
-    edges_at_b = [span.edges_at(Vertex("B", b)) for b in range(nb)]
+    fibers = span.vertices()[na:] + span.vertices()[:na]  # B before A: every table's key order
+    edges_at_b = [span.edges_at(v) for v in fibers[:nb]]
+    edges_at_a = [span.edges_at(v) for v in fibers[nb:]]
     a_end = [span.a_end(s) for s in range(ne)]
     b_end = [span.b_end(s) for s in range(ne)]
 
     class_of_a = tuple((0,) if a == span.basepoint else () for a in range(na))
+    sizes_a, sizes_b = tuple(map(len, class_of_a)), (0,) * nb
     empty = ((),) * ne
-    stages = [StageFamily(span, 0, class_of_a, ((),) * nb, tuple(map(len, class_of_a)),
-                          (0,) * nb, empty, empty)]
+    stages = [StageFamily(span, 0, dict(zip(fibers, ((),) * nb + class_of_a)),
+                          dict(zip(fibers, sizes_b + sizes_a)), empty, empty)]
     bwd = empty  # the backward bridges out of the last stage built
     for n in range(1, n_max + 1):
-        prev = stages[-1]
         class_of_b, sizes_b, fwd = _glue_side(
-            prev.sizes_b, edges_at_b, [prev.sizes_a[a_end[s]] for s in range(ne)], bwd
+            sizes_b, edges_at_b, [sizes_a[a_end[s]] for s in range(ne)], bwd
         )
         class_of_a, sizes_a, next_bwd = _glue_side(
-            prev.sizes_a, edges_at_a, [sizes_b[b_end[s]] for s in range(ne)], fwd
+            sizes_a, edges_at_a, [sizes_b[b_end[s]] for s in range(ne)], fwd
         )
-        stages.append(StageFamily(span, n, class_of_a, class_of_b, sizes_a, sizes_b, fwd, bwd))
+        stages.append(StageFamily(span, n, dict(zip(fibers, class_of_b + class_of_a)),
+                                  dict(zip(fibers, sizes_b + sizes_a)), fwd, bwd))
         bwd = next_bwd
     return stages
 
@@ -221,14 +234,7 @@ def cycle_diagnostic(stages, n):
     never assumed.
     """
     st = stages[n]
-    out = {}
-    for v in st.span.vertices():
-        if v.side == "A":
-            cells, classes = st.class_of_a[v.index], st.sizes_a[v.index]
-        else:
-            cells, classes = st.class_of_b[v.index], st.sizes_b[v.index]
-        out[v] = st.glue_count(v) - len(cells) + classes
-    return out
+    return {v: st.glue_count(v) - len(st.class_of[v]) + st.sizes[v] for v in st.span.vertices()}
 
 
 @dataclass
@@ -237,7 +243,8 @@ class BijectionReport:
 
     ``word_maps[(n, vertex)]`` is a tuple of word-tree node ids indexed by
     class id (``tree.word`` decodes one); rows are (stage, vertex, classes,
-    words, matched) per fiber. failures holds structured counterexample
+    words, matched) per fiber folded, matched if its labelling is a
+    bijection. failures holds structured counterexample
     descriptions, so ok means a full bijection; it then commutes with
     inclusion and both bridges (see stage_word_bijection).
     """
@@ -260,10 +267,10 @@ def stage_word_bijection(stages, n):
     span through cogap_set: included cells keep their previous node, and the
     block of edge s reads its nodes off the tree's column ``across[s]``. The
     report records, per fiber, whether the class labelling is a bijection
-    onto the words within the stage bound (2n on the A side, 2n - 1 on the B
-    side). Mismatches are reported, not raised. One tree of bound 2n serves
-    every stage: canonical order is length-first, so each fiber's words are a
-    prefix of its endpoint's id list.
+    onto the words within its word_bound. Mismatches are reported, not
+    raised; a failed fold ends the report, leaving later fibers no row. One
+    tree of bound 2n serves every stage: canonical order is length-first, so
+    each fiber's words are a prefix of its endpoint's id list.
 
     A successful fold is also natural in every stage map. cogap_set checks
     that the labelling is constant on each class and agrees across every
@@ -275,80 +282,69 @@ def stage_word_bijection(stages, n):
     if n >= len(stages):
         raise ValueError("the bijection needs stages 0..%d, got 0..%d" % (n, len(stages) - 1))
     span = stages[0].span
-    na, nb = len(span.a_vertices), len(span.b_vertices)
     tree = word_tree(span, 2 * n)
-    across = tree.across
+    incidence = realize(span).incidence
     word_maps = {}
     rows = []
     failures = []
 
-    def check_fiber(stage, vertex, ids, bound):
-        expected = tree.nodes_at(vertex, bound)
+    def check_fiber(stage, vertex, ids):
+        expected = tree.nodes_at(vertex, word_bound(stage, vertex))
         label = "stage %d %s fiber %s" % (stage, vertex.side, span.vertex_label(vertex))
         id_set, expected_set = set(ids), set(expected)
-        if len(id_set) != len(ids):
+        injective = len(id_set) == len(ids)
+        if not injective:
             failures.append("%s: class labelling is not injective" % (label,))
-        matched = id_set == expected_set
-        if not matched:
+        onto = id_set == expected_set
+        if not onto:
             missing = [tree.word(x) for x in expected if x not in id_set]
             extra = [tree.word(x) for x in ids if x not in expected_set]
             failures.append(
                 "%s: classes and words differ (missing %r, extra %r)"
                 % (label, missing, extra)
             )
-        rows.append((stage, vertex, len(ids), len(expected), matched))
+        rows.append((stage, vertex, len(ids), len(expected), injective and onto))
 
-    def fold(k, vtx, class_of, glue, other_ids, other_end):
-        # cells: the fiber's previous classes, then per edge the classes at its other end
-        left = word_maps[(k - 1, vtx)]
-        values = list(left)
-        blocks = []
-        for s in span.edges_at(vtx):
-            block = other_ids[other_end(s)]
-            blocks.append((len(block), glue[s]))
-            values += map(across[s].__getitem__, block)
-        try:
-            word_maps[(k, vtx)] = cogap_set(class_of, len(left), blocks, values)
-        except ValueError:
-            # decoding is injective: the words fail the same way, in a message naming them
-            try:
-                cogap_set(class_of, len(left), blocks, [tree.word(x) for x in values])
-            except ValueError as exc:
-                failures.append(
-                    "stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc)
-                )
-            return False
-        return True
-
-    for v in span.vertices():
-        word_maps[(0, v)] = (0,) if v == span.base_vertex else ()
-        check_fiber(0, v, word_maps[(0, v)], 0 if v.side == "A" else -1)
+    # latest[v]: v's node ids at the last stage folded. Folding in build order
+    # (the fiber table's), a B fiber's blocks read the previous stage's A
+    # fibers and an A fiber's blocks this stage's B fibers.
+    latest = {}
+    for v in stages[0].class_of:
+        latest[v] = word_maps[(0, v)] = (0,) if v == span.base_vertex else ()
+        check_fiber(0, v, latest[v])
     for k in range(1, n + 1):
         st = stages[k]
-        a_ids = [word_maps[(k - 1, Vertex("A", a))] for a in range(na)]
-        for b in range(nb):
-            vtx = Vertex("B", b)
-            if not fold(k, vtx, st.class_of_b[b], st.glue_b, a_ids, span.a_end):
+        for vtx, class_of in st.class_of.items():
+            # cells: the fiber's previous classes, then per edge the classes at its other end
+            left, glue = latest[vtx], st.glue(vtx)
+            values = list(left)
+            blocks = []
+            for s, other in incidence[vtx]:
+                block = latest[other]
+                blocks.append((len(block), glue[s]))
+                values += map(tree.across[s].__getitem__, block)
+            try:
+                ids = cogap_set(class_of, len(left), blocks, values)
+            except ValueError:
+                # decoding is injective: the words fail the same way, in a message naming them
+                try:
+                    cogap_set(class_of, len(left), blocks, [tree.word(x) for x in values])
+                except ValueError as exc:
+                    failures.append(
+                        "stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc)
+                    )
                 return BijectionReport(n, tree, word_maps, rows, failures)
-            check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k - 1)
-        b_ids = [word_maps[(k, Vertex("B", b))] for b in range(nb)]
-        for a in range(na):
-            vtx = Vertex("A", a)
-            if not fold(k, vtx, st.class_of_a[a], st.glue_a, b_ids, span.b_end):
-                return BijectionReport(n, tree, word_maps, rows, failures)
-            check_fiber(k, vtx, word_maps[(k, vtx)], 2 * k)
+            latest[vtx] = word_maps[(k, vtx)] = ids
+            check_fiber(k, vtx, ids)
     return BijectionReport(n, tree, word_maps, rows, failures)
 
 
 def stage_diagram(stages, vertex):
     """One fiber's class ids, connected by inclusion: each stage's inl block."""
-    if vertex.side == "A":
-        sizes = tuple(st.sizes_a[vertex.index] for st in stages)
-        class_ofs = [st.class_of_a[vertex.index] for st in stages[1:]]
-    else:
-        sizes = tuple(st.sizes_b[vertex.index] for st in stages)
-        class_ofs = [st.class_of_b[vertex.index] for st in stages[1:]]
-    return FinSeqDiagram(sizes, tuple(c[:left] for c, left in zip(class_ofs, sizes)))
+    sizes = tuple(st.sizes[vertex] for st in stages)
+    return FinSeqDiagram(
+        sizes, tuple(st.class_of[vertex][:left] for st, left in zip(stages[1:], sizes))
+    )
 
 
 def construction_zigzag(stages, s):

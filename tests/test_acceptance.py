@@ -44,8 +44,8 @@ def test_criterion_1_circle_stage_cardinalities(circle):
     graph = realize(circle)
     ok = True
     for n in range(1, 6):
-        by_stages_a = stages[n].sizes_a[0]
-        by_stages_b = stages[n].sizes_b[0]
+        by_stages_a = stages[n].sizes[Vertex("A", 0)]
+        by_stages_b = stages[n].sizes[Vertex("B", 0)]
         by_words_a = len(enumerate_words(circle, Vertex("A", 0), 2 * n))
         by_words_b = len(enumerate_words(circle, Vertex("B", 0), 2 * n - 1))
         walks = nbt_walks(graph, circle.base_vertex, 2 * n)
@@ -59,7 +59,7 @@ def test_criterion_1_circle_stage_cardinalities(circle):
 def test_criterion_2_interval_contractibility(interval):
     stages = build_stages(interval, 5)
     ok = all(
-        st.sizes_a[0] <= 1 and st.sizes_b[0] <= 1 for st in stages
+        st.sizes[Vertex("A", 0)] <= 1 and st.sizes[Vertex("B", 0)] <= 1 for st in stages
     )
     for vertex in (Vertex("A", 0), Vertex("B", 0)):
         limit = direct_limit(stage_diagram(stages, vertex))
@@ -74,7 +74,7 @@ def test_criterion_3_oracle_equivalence(corpus):
             ok = False
         if not stage_word_bijection(build_stages(span, 4), 4).ok:
             ok = False
-    random_results = checks.random_span_suite(count=100, seed=2024, max_len=8, stage_depth=4)
+    random_results = checks.random_span_suite(seed=2024)
     ok = ok and all(r.ok for r in random_results)
     report(3, ok, "walk bijection at length 8 and stage bijection to n=4, corpus plus 100 seeded spans")
 
@@ -123,7 +123,7 @@ def test_criterion_6_confluence_and_termination(corpus):
     rng = random.Random(99)
     for span in corpus.values():
         for _ in range(1000):
-            raw = checks.random_unreduced_word(span, rng, max_len=12)
+            raw = checks.random_unreduced_word(span, rng)
             left = reduce_word(span, raw)
             right = reduce_word_rightmost(span, raw)
             ok = ok and left == right and is_reduced(left)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from spanpaths import checks, cli
+from spanpaths import stages as stages_module
 
 SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
 CIRCLE = str(SPAN_DIR / "circle.span")
@@ -41,6 +43,52 @@ def test_stages_table(capsys):
     last = out.strip().splitlines()[-1]
     assert "n=2" in last and "a=5" in last and "b=4" in last
     assert "cycles=0" in last and "bijection=ok" in last
+
+
+def swap_stage_2_glue(build):
+    # two entries of stage 2's first forward bridge trade places: its A fold fails
+    def build_stages(span, n):
+        stages = build(span, n)
+        broken = list(stages[2].glue_a[0])
+        broken[0], broken[1] = broken[1], broken[0]
+        stages[2] = dataclasses.replace(stages[2], glue_a=(tuple(broken),) + stages[2].glue_a[1:])
+        return stages
+
+    return build_stages
+
+
+def repeat_last_class(cogap):
+    # every fold labels one class more, with the last class's word: not injective
+    def fold(*args):
+        ids = cogap(*args)
+        return ids + ids[-1:]
+
+    return fold
+
+
+@pytest.mark.parametrize(
+    "target, attribute, sabotage, verdicts",
+    [
+        (cli, "build_stages", swap_stage_2_glue, ["ok", "ok", "FAIL", "FAIL"]),
+        (stages_module, "cogap_set", repeat_last_class, ["ok", "FAIL", "FAIL", "FAIL"]),
+    ],
+    ids=["fold-fails-at-stage-2", "labelling-not-injective"],
+)
+def test_stages_reads_ok_only_where_every_fiber_matched(
+    capsys, monkeypatch, target, attribute, sabotage, verdicts
+):
+    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
+    argv = ["stages", CIRCLE, "--up-to", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line.split("bijection=")[1] for line in lines[:4]] == verdicts
+    assert lines[4].startswith("mismatch: stage ")
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [row["bijection"] for row in payload["rows"]] == verdicts
 
 
 def test_info_circle(capsys):

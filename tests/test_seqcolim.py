@@ -4,10 +4,10 @@ import pytest
 
 from spanpaths import checks, seqcolim
 from spanpaths.seqcolim import (
-    DirectLimit,
     FinSeqDiagram,
     SeqMorphism,
     SeqZigzag,
+    class_labels,
     compose_morphisms,
     direct_limit,
     half_shift,
@@ -47,6 +47,13 @@ def test_partition_numbers_classes_by_least_cell():
     assert partition(4, [(3, 0, (1,)), (2, 0, (3,))]) == ((0, 1, 1, 1), 2)
     # a star: inl cells 0..1, a block at offset 2 glued to both
     assert partition(5, [(0, 2, (1, 1)), (0, 4, (0, 0))]) == ((0, 0, 1, 0, 0), 2)
+
+
+def test_class_labels_reads_least_cells_and_names_disagreeing_classes():
+    # cells 0..4 in classes 0, 1, 0, 2, 1; the labels cover a prefix of the cells
+    class_of = (0, 1, 0, 2, 1)
+    assert class_labels(class_of, 3, "xyxz") == (["x", "y", "z"], set())
+    assert class_labels(class_of, 3, ["x", "y", "w"]) == (["x", "y", None], {0})
 
 
 def test_partition_union_order_irrelevant():
@@ -302,8 +309,11 @@ COLIMIT_SABOTAGE = {
         seqcolim, "map_of_limits", reversed_images, {"stages.zigzag-equivalence"},
     ),
     "stages.colimit-agreement": (
-        # each element reads the class of the cell before it
-        DirectLimit, "find", lambda find: lambda self, n, x: self.class_of[self.offsets[n] + x - 1],
+        # each cell reads the label of the cell before it
+        checks, "class_labels",
+        lambda labels_of: lambda class_of, count, labels: labels_of(
+            class_of, count, labels[-1:] + labels[:-1]
+        ),
         {"stages.colimit-agreement", "seqcolim.shift-invariance"},
     ),
 }

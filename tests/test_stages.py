@@ -39,10 +39,10 @@ def test_pushout_circle_first_a_stage(circle):
     # the stage-1 A gluing span: one old cell, two identifications, four bridged cells
     prev, st = build_stages(circle, 1)
     a0 = Vertex("A", 0)
-    left = prev.sizes_a[0]
-    assert (left, st.glue_count(a0), len(st.class_of_a[0]) - left) == (1, 2, 4)
+    left = prev.sizes[a0]
+    assert (left, st.glue_count(a0), len(st.class_of[a0]) - left) == (1, 2, 4)
     assert len(st.glue_edges(a0)) == 2
-    assert st.sizes_a[0] == 3
+    assert st.sizes[a0] == 3
 
 
 def test_pushout_rejects_malformed_bridges():
@@ -105,7 +105,7 @@ def test_cogap_words_on_circle_stage(circle):
     b_words = report.word_maps[(1, Vertex("B", 0))]
     blocks = [(len(b_words), st.glue_a[s]) for s in edges]
     values = [0] + [report.tree.step(x, s) for s in edges for x in b_words]
-    mapping = cogap_set(st.class_of_a[0], 1, blocks, values)
+    mapping = cogap_set(st.class_of[Vertex("A", 0)], 1, blocks, values)
     assert sorted(format_word(circle, report.tree.word(x)) for x in mapping) == [
         ">s <t",
         ">t <s",
@@ -115,19 +115,20 @@ def test_cogap_words_on_circle_stage(circle):
 
 def test_circle_stage_cardinalities(circle):
     stages = build_stages(circle, 5)
-    a_sizes = [st.sizes_a[0] for st in stages]
-    b_sizes = [st.sizes_b[0] for st in stages]
+    a_sizes = [st.sizes[Vertex("A", 0)] for st in stages]
+    b_sizes = [st.sizes[Vertex("B", 0)] for st in stages]
     assert a_sizes == [1, 3, 5, 7, 9, 11]
     assert b_sizes == [0, 2, 4, 6, 8, 10]
 
 
 def test_interval_stage_fibers_stay_singleton(interval):
     stages = build_stages(interval, 5)
+    a0, b0 = Vertex("A", 0), Vertex("B", 0)
     for st in stages:
-        assert st.sizes_a[0] <= 1
-        assert st.sizes_b[0] <= 1
-    assert stages[5].sizes_a[0] == 1
-    assert stages[5].sizes_b[0] == 1
+        assert st.sizes[a0] <= 1
+        assert st.sizes[b0] <= 1
+    assert stages[5].sizes[a0] == 1
+    assert stages[5].sizes[b0] == 1
 
 
 def test_zero_case_for_every_span(corpus):
@@ -135,16 +136,15 @@ def test_zero_case_for_every_span(corpus):
         stage0 = build_stages(span, 0)[0]
         for a in range(len(span.a_vertices)):
             expected = 1 if a == span.basepoint else 0
-            assert stage0.sizes_a[a] == expected
+            assert stage0.sizes[Vertex("A", a)] == expected
         for b in range(len(span.b_vertices)):
-            assert stage0.sizes_b[b] == 0
+            assert stage0.sizes[Vertex("B", b)] == 0
 
 
 def _block(stages, n, vertex, s):
     """Class ids over edge s's inr block of one fiber at stage n."""
-    st = stages[n]
-    class_of = (st.class_of_a if vertex.side == "A" else st.class_of_b)[vertex.index]
     cells = _decoded_cells(stages, n, vertex)
+    class_of = stages[n].class_of[vertex]
     return [c for c, (tag, q) in zip(class_of, cells) if tag == "inr" and q[0] == s]
 
 
@@ -278,15 +278,15 @@ def test_theta_stages_to_six(theta):
     # plus one block per edge, and it glues each inl cell once per edge
     depth = 6
     stages = build_stages(theta, depth)
-    edges = theta.edges_at(Vertex("A", 0))
+    a0, b0 = Vertex("A", 0), Vertex("B", 0)
+    edges = theta.edges_at(a0)
     for n in range(1, depth + 1):
         st, prev = stages[n], stages[n - 1]
-        assert st.sizes_a == (2 ** (2 * n + 1) - 1,)
-        assert st.sizes_b == (2 ** (2 * n) - 1,)
+        assert st.sizes == {a0: 2 ** (2 * n + 1) - 1, b0: 2 ** (2 * n) - 1}
         assert all(c == 0 for c in cycle_diagnostic(stages, n).values())
         for vertex, class_of, left, block in (
-            (Vertex("A", 0), st.class_of_a[0], prev.sizes_a[0], st.sizes_b[0]),
-            (Vertex("B", 0), st.class_of_b[0], prev.sizes_b[0], prev.sizes_a[0]),
+            (a0, st.class_of[a0], prev.sizes[a0], st.sizes[b0]),
+            (b0, st.class_of[b0], prev.sizes[b0], prev.sizes[a0]),
         ):
             assert len(class_of) == left + len(edges) * block
             assert st.glue_count(vertex) == len(st.glue_edges(vertex)) == left * len(edges)
@@ -298,12 +298,11 @@ def _decoded_cells(stages, n, vertex):
     st, prev = stages[n], stages[n - 1]
     span = st.span
     edges = span.edges_at(vertex)
+    left = prev.sizes[vertex]
     if vertex.side == "A":
-        left = prev.sizes_a[vertex.index]
-        blocks = [st.sizes_b[span.b_end(s)] for s in edges]
+        blocks = [st.sizes[Vertex("B", span.b_end(s))] for s in edges]
     else:
-        left = prev.sizes_b[vertex.index]
-        blocks = [prev.sizes_a[span.a_end(s)] for s in edges]
+        blocks = [prev.sizes[Vertex("A", span.a_end(s))] for s in edges]
     cells = [("inl", p) for p in range(left)]
     cells += [("inr", (s, q)) for s, size in zip(edges, blocks) for q in range(size)]
     return cells
@@ -321,15 +320,15 @@ def test_pushouts_match_quotient_set_of_decoded_glue(bfs_classes):
             for vertex in span.vertices():
                 cells = _decoded_cells(stages, n, vertex)
                 expected = bfs_classes(cells, st.glue_edges(vertex))
-                class_of = st.class_of_a if vertex.side == "A" else st.class_of_b
-                assert tuple(expected) == class_of[vertex.index]
+                assert tuple(expected) == st.class_of[vertex]
 
 
 def test_fold_rejects_merged_classes(theta):
     # a class_of that merges classes 0 and 1 is not the pushout of the gluing span
     stages = build_stages(theta, 2)
-    merged = tuple(max(c - 1, 0) for c in stages[2].class_of_a[0])
-    stages[2] = dataclasses.replace(stages[2], class_of_a=(merged,))
+    a0 = Vertex("A", 0)
+    merged = tuple(max(c - 1, 0) for c in stages[2].class_of[a0])
+    stages[2] = dataclasses.replace(stages[2], class_of={**stages[2].class_of, a0: merged})
     report = stage_word_bijection(stages, 2)
     assert not report.ok
     assert report.failures == ["stage 2 A fiber a: cocone not constant on class 0"]
