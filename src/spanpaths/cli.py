@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import lru_cache
+from operator import itemgetter
 
 from . import checks
 from .seqcolim import direct_limit
@@ -31,9 +33,95 @@ def _load_span(path):
     return parse_span(text)
 
 
+# The stdlib encodes with its pure-Python encoder whenever it is asked to
+# indent. This writer gives the same bytes and hands whole columns to the C
+# encoder: with an item separator that carries the column's indent, and since
+# ensure_ascii leaves no raw newline inside a string, a column's text splits
+# on that separator into one text per value.
+_ENCODER = json.JSONEncoder()
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+@lru_cache(maxsize=16)
+def _encoder(sep):
+    """The encode method of a C encoder whose item separator is ``sep``."""
+    return json.JSONEncoder(check_circular=False, separators=(sep, ": ")).encode
+
+
+@lru_cache(maxsize=64)
+def _template(keys, nl):
+    """The %-template of a dict with the sorted ``keys``: one %s per value."""
+    inner = nl + "  "
+    fields = ("," + inner).join(_ENCODER.encode(key).replace("%", "%%") + ": %s" for key in keys)
+    return "{" + inner + fields + nl + "}"
+
+
+def _columns(rows):
+    """``(keys, columns)`` when ``rows`` are dicts sharing one non-empty key set, else None.
+
+    ``keys`` is the sorted key tuple and ``columns`` one list of values per key.
+    """
+    if not all(issubclass(t, dict) for t in set(map(type, rows))):
+        return None
+    keys = tuple(sorted(rows[0]))
+    if not keys or sum(map(len, rows)) != len(rows) * len(keys):
+        return None
+    try:
+        return keys, [list(map(itemgetter(key), rows)) for key in keys]
+    except KeyError:
+        return None
+
+
+def _texts(values, nl):
+    """Each of ``values``' texts, with its lines indented to follow ``nl``.
+
+    Scalars take one encoder call. Dicts sharing one key set are one column
+    per key, stitched back with one template per row. Other containers recurse.
+    """
+    sep = "," + nl
+    if _SCALARS.issuperset(map(type, values)):
+        return _encoder(sep)(values)[1:-1].split(sep)
+    table = isinstance(values[0], dict) and _columns(values)
+    if table:
+        keys, columns = table
+        texts = [_texts(column, nl + "  ") for column in columns]
+        return list(map(_template(keys, nl).__mod__, zip(*texts)))
+    nested = [isinstance(v, _CONTAINERS) for v in values]
+    scalars = [v for v, n in zip(values, nested) if not n]
+    texts = iter(_encoder(sep)(scalars)[1:-1].split(sep) if scalars else ())
+    return [_text(v, nl) if n else next(texts) for v, n in zip(values, nested)]
+
+
+def _text(value, nl):
+    """``json.dumps(value, indent=2, sort_keys=True)``, its lines indented to follow ``nl``."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        keys = tuple(sorted(value))
+        return _template(keys, nl) % tuple(_texts([value[key] for key in keys], inner))
+    if not isinstance(value, (list, tuple)):
+        return _ENCODER.encode(value)
+    if not value:
+        return "[]"
+    if not isinstance(value[0], _CONTAINERS):
+        # the common case, a list of scalars, skips the split; a bracket in
+        # its text may be a nested container, so it then takes the long way
+        body = _encoder("," + inner)(value)[1:-1]
+        if "[" not in body and "{" not in body:
+            return "[" + inner + body + nl + "]"
+    return "[" + inner + ("," + inner).join(_texts(value, inner)) + nl + "]"
+
+
+def dumps(value):
+    """``json.dumps(value, indent=2, sort_keys=True)`` for a JSON value, byte for byte."""
+    return _text(value, "\n")
+
+
 def _emit(args, payload, text_lines):
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -140,13 +228,15 @@ def _cmd_limit(args):
     stages = build_stages(span, args.up_to)
     report = stage_word_bijection(stages, args.up_to)
     limit = direct_limit(stage_diagram(stages, endpoint))
-    reps = []
-    for stage, rep in limit.representatives():
-        entry = {"stage": stage}
-        if report.ok:
-            node = report.word_maps[(stage, endpoint)][rep]
-            entry["word"] = report.tree.text(node)
-        reps.append(entry)
+    pairs = limit.representatives()
+    if report.ok:
+        texts = report.tree.texts()
+        reps = [{"stage": n, "word": texts[report.word_maps[(n, endpoint)][x]]} for n, x in pairs]
+        del texts
+    else:
+        reps = [{"stage": n} for n, _x in pairs]
+    # the output needs none of the stages, the bijection or its tree: free them first
+    del stages, report
     payload = {
         "command": "limit",
         "endpoint": args.endpoint,
@@ -154,10 +244,10 @@ def _cmd_limit(args):
         "classes": limit.class_count,
         "representatives": reps,
     }
-    lines = ["classes: %d" % limit.class_count]
-    lines += [
-        "stage=%d %s" % (entry["stage"], entry.get("word", "?")) for entry in reps
-    ]
+    lines = []
+    if not args.json:
+        lines = ["classes: %d" % limit.class_count]
+        lines += ["stage=%d %s" % (entry["stage"], entry.get("word", "?")) for entry in reps]
     _emit(args, payload, lines)
     return 0
 

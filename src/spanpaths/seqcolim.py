@@ -117,9 +117,6 @@ class DirectLimit:
     class_of: tuple
     class_count: int
 
-    def find(self, n, x):
-        return self.class_of[self.offsets[n] + x]
-
     def representatives(self):
         """The least ``(n, x)`` pair of each class, in class id order."""
         cells, _ = class_labels(self.class_of, self.class_count, range(len(self.class_of)))

@@ -244,6 +244,103 @@ def test_check_oracle_output_is_pinned(capsys, name):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of `info`, `reduce` and `enumerate --max-len 6`, as text
+# and with --json, for every bundled span, recorded while --json still went
+# through json.dumps(payload, indent=2, sort_keys=True): enumerate is pinned at
+# the basepoint and at a second endpoint, unreachable on coproduct
+OUTPUT_DIGESTS = {
+    ("circle", ("info",)): (
+        "e3249d2cf0c257dd7f6dbbd88095638429a791af254d541bb1881e1328c3d04e",
+        "73eb13a13d1911875bc9bdbdf33a6ed91ea0d22a580fc33604147ae33d3cf01f",
+    ),
+    ("circle", ("reduce", "--word", ">s <t >t <s >s")): (
+        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
+        "4803b1c148797f8fe740c76e88274d23397033977521705deb9493b6ce5300eb",
+    ),
+    ("circle", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
+        "9ce7cbb01895ff560bfd491f81c89d6c9e9824635d7176c0f56c1e11fdcc6462",
+        "c86f96e3b307543c136b8e57043a724d4826da0747a8528fee0164c11c979b71",
+    ),
+    ("circle", ("enumerate", "--endpoint", "b", "--max-len", "6")): (
+        "85e2f9dd397fde948b6816c3119092b04cf98d4732b4cc56064872e238da8f24",
+        "f5dc263f5395a4e2715f2c4e7c95e025ab6a5784796e58530d7b9c047c036066",
+    ),
+    ("coproduct", ("info",)): (
+        "0f693de3e0b2122df7ce544633998c30fe1fe3435b4ecfdb310fe3cbbcfacb4c",
+        "c9a91ec04c31330d8ef1247f3e6804caac5cb16b528a2944d19eabcdcd8b5eb9",
+    ),
+    ("coproduct", ("reduce", "--word", "refl")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "a235d2591169f785ab2a9192890de45120b9023a317bbd1695405da421b33e9c",
+    ),
+    ("coproduct", ("enumerate", "--endpoint", "a0", "--max-len", "6")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "6e290d7881554c0c27acf92d7d0468eb15a8bb6556d8d82b1cbe91726e207c33",
+    ),
+    ("coproduct", ("enumerate", "--endpoint", "b0", "--max-len", "6")): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3bfa73b8ee42779548d72e552c05e3d2fbf9d96d917a1cb1d97a691a926b5ae7",
+    ),
+    ("interval", ("info",)): (
+        "c4f197b274a97e7d1c38d4006ffecf99352106681feee7690f1b99f14f4567b8",
+        "e0f3cbf3d07de2c9c57bf0a853b916c12af477e2151bc26d4b8e98355ee22856",
+    ),
+    ("interval", ("reduce", "--word", ">s <s >s")): (
+        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
+        "9404e8d510b675d52f15ba31867023d681a887172e00ca092f23e647c4a8fb1a",
+    ),
+    ("interval", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "f6a9f9c6ac2d1329ed9f2f1e5a1b98889dd8c0cb2fcab6f3683f47a6f5512a94",
+    ),
+    ("interval", ("enumerate", "--endpoint", "b", "--max-len", "6")): (
+        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
+        "efe51d7fa65ab3691a54f6a0d17099e198b6ab5d1d3c856f87c8032cedebd7b1",
+    ),
+    ("theta", ("info",)): (
+        "45426086a61bc11a14e2393acde5bf5078af7319cddb6236a12cb39158237ce3",
+        "14baac11530d7b7071ea1c0f2a60c1d1d87541ae3b0248a845758810317bbffd",
+    ),
+    ("theta", ("reduce", "--word", ">s <t >u <u >t <s")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "542846663cf3f9086867194d8512095de569d439a776b2841dea0e2935720ff7",
+    ),
+    ("theta", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
+        "b97b98af9f38a905ee33d5fae60d41baa08fdd878c5a6c59e46f1b19fee528c2",
+        "ff8f36d787f8be9b56be5cca7a57fdd453a2b23d591e329c7744a807d39922cc",
+    ),
+    ("theta", ("enumerate", "--endpoint", "b", "--max-len", "6")): (
+        "3db6c910445bb3906d91cda8911063c453300743622648252e01b57205e84340",
+        "c19efbd345d0a4379fb0580cf510948246b7fa2e858d62ae88ca017c6883078f",
+    ),
+    ("tree4", ("info",)): (
+        "7f47d3463d535cbf3a808ea65728609a64783658b6af7fd3385049e2d3825b17",
+        "fa948afcde8018a081d973d18a635d07bd26bd029d109bfa112ad619ed7c59ed",
+    ),
+    ("tree4", ("reduce", "--word", ">s1 <s3 >s3 <s1 >s2")): (
+        "c9e90415a27295baba95c31c44f8642f8236dd4382b8c1bf3769fea76f201600",
+        "9e7e61a4cdf0d4d5f6e6a2ca02be4122e39c34ec48af814aad569146def09f6d",
+    ),
+    ("tree4", ("enumerate", "--endpoint", "a1", "--max-len", "6")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "5ebc525c7d414d8b9b9803902b277d24e0c9ef872b47bae96257660db732b7cf",
+    ),
+    ("tree4", ("enumerate", "--endpoint", "b2", "--max-len", "6")): (
+        "c9e90415a27295baba95c31c44f8642f8236dd4382b8c1bf3769fea76f201600",
+        "4de1328ee2986f3c77a8ffe4499835e762c66800f31fc3cdd427051101b86fc8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, args", sorted(OUTPUT_DIGESTS))
+def test_info_reduce_enumerate_output_is_pinned(capsys, name, args):
+    argv = [args[0], str(SPAN_DIR / (name + ".span")), *args[1:]]
+    for flags, digest in zip(([], ["--json"]), OUTPUT_DIGESTS[(name, args)]):
+        code, out, _ = run(capsys, argv + flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_passes_on_circle(capsys):
     code, out, _ = run(
         capsys, ["check", CIRCLE, "--oracle", "--max-len", "6", "--stages", "3"]
@@ -370,3 +467,62 @@ def test_json_stages_row(capsys):
     assert row["b_fibers"] == {"b": 4}
     assert row["cycles"] == 0
     assert row["bijection"] == "ok"
+
+
+# strings the writer must carry through its splits and its %-templates unchanged
+AWKWARD = ['",\n', "{", "[", "]}", "%", "%s", '"', "\\", "é☃😀", "\x00\x1f\x7f", ""]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        AWKWARD,
+        {key: key for key in AWKWARD},
+        [{key: value for key in AWKWARD} for value in AWKWARD],
+        [{"a": [], "b": {}}, {"a": [1], "b": {"c": 1}}, {"a": [[]], "b": {"c": {}}}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": 1, "b": 2}, {"a": 1}],
+        [{"a": 1}, {}],
+        [{}, {}],
+        [{"a": 1}, [1]],
+        [1, {"a": 1}, [2], "x"],
+        [[], [[]], [{}]],
+        [True, 1, False, 0, None],
+        [{"a": True}, {"a": 1}, {"a": False}, {"a": 0}],
+        [1.0, -0.0, 0.1, 1e300, -1e-300, float("inf"), float("-inf"), float("nan"), 10**30],
+        [{"x": 1.5, "y": -2}, {"x": float("nan"), "y": 2.0}],
+        ("tuple", (1, 2), [(3,)]),
+        {"z": [{"k": [1, {"m": "%"}]}], "a": {"b": {"c": []}}},
+        {}, [], "", 0, None, True, 2.5,
+    ],
+)
+def test_json_writer_equals_indented_json_dumps(value):
+    assert cli.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_equals_indented_json_dumps_on_arbitrary_values():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+    def containers(children):
+        # rows sharing one key set take the writer's column path
+        rows = st.lists(st.text(max_size=3), max_size=4, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries({key: children for key in keys}))
+        )
+        return st.lists(children) | st.dictionaries(st.text(), children) | rows
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(st.recursive(scalars, containers, max_leaves=20))
+    def check(value):
+        assert cli.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    check()
+
+
+def test_limit_json_names_its_words_from_the_tree(capsys):
+    code, out, _ = run(capsys, ["limit", CIRCLE, "--up-to", "2", "--endpoint", "b", "--json"])
+    assert code == 0
+    reps = json.loads(out)["representatives"]
+    assert reps[:2] == [{"stage": 1, "word": ">s"}, {"stage": 1, "word": ">t"}]

@@ -94,7 +94,7 @@ def test_direct_limit_matches_bfs_on_random_chains(bfs_classes):
         cells = [(n, x) for n, size in enumerate(sizes) for x in range(size)]
         pairs = [((n, x), (n + 1, y)) for n, step in enumerate(maps) for x, y in enumerate(step)]
         expected = bfs_classes(cells, pairs)
-        assert [limit.find(n, x) for n, x in cells] == expected
+        assert [limit.class_of[limit.offsets[n] + x] for n, x in cells] == expected
         assert limit.class_count == len(set(expected))
         firsts = {}
         for cell, cls in zip(cells, expected):
@@ -109,8 +109,8 @@ def test_direct_limit_constant():
 def test_direct_limit_inclusions():
     limit = direct_limit(INCLUSIONS)
     assert limit.class_count == 3
-    assert limit.find(0, 0) == 0
-    assert limit.find(2, 0) == 0
+    assert limit.class_of[limit.offsets[0]] == 0
+    assert limit.class_of[limit.offsets[2]] == 0
     assert limit.representatives() == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -164,7 +164,8 @@ def test_bridge_morphism_on_circle(circle):
     morphism = zigzag_to_morphism(z)
     report = stage_word_bijection(stages, 3)
     mapping = map_of_limits(morphism)
-    refl_class = direct_limit(z.left).find(0, 0)  # refl is class 0 of stage 0
+    left = direct_limit(z.left)
+    refl_class = left.class_of[left.offsets[0]]  # refl is class 0 of stage 0
     stage, cell = direct_limit(z.right).representatives()[mapping[refl_class]]
     node = report.word_maps[(stage + 1, Vertex("B", 0))][cell]  # right side is shifted by one
     assert report.tree.word(node) == (Step(FWD, 0),)
@@ -221,7 +222,7 @@ def test_zigzag_equivalence_circle_refl_roundtrip(circle):
     stages = build_stages(circle, 5)
     report = zigzag_equivalence(construction_zigzag(stages, 0))
     assert report.ok
-    refl_class = report.left_limit.find(0, 0)  # refl is class 0 of stage 0
+    refl_class = report.left_limit.class_of[report.left_limit.offsets[0]]  # refl is class 0 of stage 0
     assert report.backward[report.forward[refl_class]] == refl_class
 
 
@@ -243,7 +244,7 @@ def test_shift_invariance(circle):
     d = stage_diagram(stages, Vertex("B", 0))
     lim = direct_limit(d)
     lim_shift = direct_limit(shift_diagram(d))
-    image = {lim.find(n + 1, x) for n, size in enumerate(shift_diagram(d).sizes) for x in range(size)}
+    image = {lim.class_of[lim.offsets[n + 1] + x] for n, size in enumerate(shift_diagram(d).sizes) for x in range(size)}
     assert lim_shift.class_count == lim.class_count == len(image)
 
 

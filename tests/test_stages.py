@@ -244,7 +244,7 @@ def test_colimit_agrees_with_enumeration(circle):
         for k in range(depth + 1):
             for x, node in enumerate(report.word_maps[(k, vertex)]):
                 # inclusion-compatible labelling: one word per limit class
-                assert labels.setdefault(limit.find(k, x), node) == node
+                assert labels.setdefault(limit.class_of[limit.offsets[k] + x], node) == node
         assert len(labels) == limit.class_count
         words = [report.tree.word(x) for x in labels.values()]
         assert sorted(words) == sorted(enumerate_words(circle, vertex, bound))

@@ -394,8 +394,10 @@ def test_tree_columns_and_text_agree_with_step_and_format_word(corpus, name):
     # the columns, read against the parent links alone: back across the last
     # edge, forward to the child across any other, None past the bound
     children = {(p, e): y for y, (p, e) in enumerate(zip(tree.parent, tree.last_edge)) if y}
+    texts = tree.texts()
+    assert len(texts) == len(tree.parent)
     for x in range(len(tree.parent)):
-        assert tree.text(x) == format_word(span, tree.word(x))
+        assert texts[x] == tree.text(x) == format_word(span, tree.word(x))
         for s in range(len(span.edges)):
             across = tree.parent[x] if tree.last_edge[x] == s else children.get((x, s))
             assert tree.across[s][x] == tree.step(x, s) == across
@@ -405,6 +407,7 @@ def test_text_of_refl_on_an_edgeless_span(coproduct):
     tree = WordTree(coproduct, 4)
     assert tree.across == [] and len(tree.parent) == 1
     assert tree.text(0) == "refl"
+    assert tree.texts() == ["refl"]
 
 
 def test_step_back_undoes_step_and_stops_at_the_bound(corpus):
