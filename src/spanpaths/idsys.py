@@ -31,9 +31,10 @@ object is shared by all of them; validation checks each shared pair once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
-from .words import WordTree, word_tree
+from .words import word_tree
 
 
 def _links(tree, size):
@@ -48,11 +49,11 @@ def _links(tree, size):
         yield (x, last_edge[x], p, x) if depth[x] % 2 else (x, last_edge[x], x, p)
 
 
-@dataclass
-class DescentFamily:
+class DescentFamily(namedtuple("DescentFamily", "span bound fibers transitions")):
     """Fibers over all reduced words within ``bound``, plus crossing bijections.
 
-    Words are the node ids of the family's tree. ``fibers[x]`` is an ordered
+    Words are the node ids of ``tree``, the family's word tree, which the
+    constructor sets beside the four tuple fields. ``fibers[x]`` is an ordered
     tuple for every node x; ``transitions[x]`` is the ``(fwd, inv)`` dict
     pair of the link between x and its parent for every node x >= 1, and
     ``transitions[0]`` is None (refl has no parent). Validation enforces the
@@ -61,16 +62,10 @@ class DescentFamily:
     distinct combination of (pair, source fiber, target fiber) objects.
     """
 
-    span: object
-    bound: int
-    fibers: list
-    transitions: list
-    tree: WordTree = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.tree = tree = word_tree(self.span, self.bound)
-        size = tree.size(self.bound)
-        for name, table in (("fiber", self.fibers), ("transition", self.transitions)):
+    def __init__(self, span, bound, fibers, transitions):
+        self.tree = tree = word_tree(span, bound)
+        size = tree.size(bound)
+        for name, table in (("fiber", fibers), ("transition", transitions)):
             if len(table) != size:
                 raise ValueError(
                     "%s table incomplete or overfull (missing %d, extra %d)"
@@ -79,7 +74,7 @@ class DescentFamily:
         # identity keys are stable: this family holds every keyed object
         checked = set()
         for x, s, a, b in _links(tree, size):
-            pair, src, tgt = self.transitions[x], self.fibers[a], self.fibers[b]
+            pair, src, tgt = transitions[x], fibers[a], fibers[b]
             key = (id(pair), id(src), id(tgt))
             if key in checked:
                 continue
@@ -94,7 +89,7 @@ class DescentFamily:
             if problem:
                 raise ValueError(
                     "transition (%s, %s) %s"
-                    % (self.span.edge_label(s), tree.text(a), problem)
+                    % (span.edge_label(s), tree.text(a), problem)
                 )
 
 
@@ -164,16 +159,12 @@ def random_family(span, bound, rng):
     )
 
 
-@dataclass
-class Section:
+class Section(namedtuple("Section", "family values")):
     """Values of a section, one per node id of the family's tree."""
 
-    family: DescentFamily
-    values: list
-
-    def __post_init__(self):
-        if len(self.values) != len(self.family.fibers):
-            raise ValueError("a section needs one value per word, got %d" % len(self.values))
+    def __init__(self, family, values):
+        if len(values) != len(family.fibers):
+            raise ValueError("a section needs one value per word, got %d" % len(values))
 
 
 def elim_section(fam, q0):
@@ -204,8 +195,7 @@ def elim_section(fam, q0):
     return Section(fam, values)
 
 
-@dataclass
-class ComputationReport:
+class ComputationReport(NamedTuple):
     checked: int
     violations: list
 
@@ -223,7 +213,7 @@ def check_computation(fam, q0, sec):
     backward crossing of the same edge, so the link is a's own) are links
     like any other. Violations are reported, never raised.
     """
-    span, tree = fam.span, fam.tree
+    span, tree, transitions = fam.span, fam.tree, fam.transitions
     values = sec.values
     violations = []
     checked = 1
@@ -234,7 +224,7 @@ def check_computation(fam, q0, sec):
         if a >= safe:
             continue
         checked += 1
-        fwd = fam.transitions[x][0]
+        fwd = transitions[x][0]
         if values[a] not in fwd:
             violations.append(
                 "transition (%s, %s) undefined on the section value %r"
@@ -248,8 +238,7 @@ def check_computation(fam, q0, sec):
     return ComputationReport(checked, violations)
 
 
-@dataclass
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     checked: int
     first_disagreement: str | None
 
@@ -273,12 +262,22 @@ def uniqueness_check(fam, q0, sec):
     return UniquenessReport(len(reference), None)
 
 
-@dataclass
 class EncodeDecodeReport:
-    identity_checked: int
-    identity_mismatches: list
-    naturality_checked: int
-    naturality_mismatches: list
+    """Counts and mismatches of encode_decode's identity and naturality checks.
+
+    A plain object, not a tuple: perfbench/run.py reads any tuple a call
+    returns as CLI ``(code, stdout)`` output.
+    """
+
+    __slots__ = ("identity_checked", "identity_mismatches", "naturality_checked",
+                 "naturality_mismatches")
+
+    def __init__(self, identity_checked, identity_mismatches, naturality_checked,
+                 naturality_mismatches):
+        self.identity_checked = identity_checked
+        self.identity_mismatches = identity_mismatches
+        self.naturality_checked = naturality_checked
+        self.naturality_mismatches = naturality_mismatches
 
     @property
     def ok(self):
@@ -313,7 +312,7 @@ def encode_decode(span, bound):
     natural equivalence between the family and the word model.
     """
     fam = word_family(span, bound)
-    tree = fam.tree
+    tree, transitions = fam.tree, fam.transitions
     values = elim_section(fam, 0).values
     safe = tree.size(bound - 1)
     identity_mismatches = [
@@ -325,7 +324,7 @@ def encode_decode(span, bound):
     nat_mismatches = []
     for x, s, a, b in _links(tree, safe):  # a child below safe has its parent there too
         nat_checked += 1
-        if fam.transitions[x][0].get(values[a]) != values[b]:
+        if transitions[x][0].get(values[a]) != values[b]:
             nat_mismatches.append(
                 "fold does not commute with crossing %s at %s"
                 % (span.edge_label(s), tree.text(a))

@@ -11,14 +11,13 @@ for item against the reduced words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .span import component_of, realize
 from .words import FWD, all_reduced_words
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(NamedTuple):
     """A walk in the realized graph: one more vertex than edges, incidences matching."""
 
     vertices: tuple
@@ -54,8 +53,7 @@ def pi1_rank(graph, base):
     return edges_inside - len(component) + 1
 
 
-@dataclass
-class WordWalkReport:
+class WordWalkReport(NamedTuple):
     count: int
     mismatch: str | None
 

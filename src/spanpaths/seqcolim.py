@@ -13,7 +13,8 @@ deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 
 def partition(total, glue):
@@ -74,18 +75,14 @@ def _check_map(images, size, target, what):
         raise ValueError("%s sends an element outside its %d-element target" % (what, target))
 
 
-@dataclass(frozen=True)
-class FinSeqDiagram:
+class FinSeqDiagram(namedtuple("FinSeqDiagram", "sizes maps")):
     """Levels ``0..sizes[n]-1`` with total connecting maps ``maps[n]``."""
 
-    sizes: tuple
-    maps: tuple
-
-    def __post_init__(self):
-        if len(self.maps) != max(len(self.sizes) - 1, 0):
+    def __init__(self, sizes, maps):
+        if len(maps) != max(len(sizes) - 1, 0):
             raise ValueError("need exactly one connecting map per consecutive pair of levels")
-        for n, step in enumerate(self.maps):
-            _check_map(step, self.sizes[n], self.sizes[n + 1], "map %d" % n)
+        for n, step in enumerate(maps):
+            _check_map(step, sizes[n], sizes[n + 1], "map %d" % n)
 
     @property
     def truncation(self):
@@ -104,8 +101,7 @@ def truncate_diagram(d, n):
     return FinSeqDiagram(d.sizes[: n + 1], d.maps[:n])
 
 
-@dataclass(frozen=True)
-class DirectLimit:
+class DirectLimit(NamedTuple):
     """Classes of a truncated diagram's stage-tagged elements.
 
     Element x of level n is cell ``offsets[n] + x``; ``class_of`` gives each
@@ -139,29 +135,24 @@ def direct_limit(d):
     return DirectLimit(tuple(offsets), *partition(total, glue))
 
 
-@dataclass(frozen=True)
-class SeqMorphism:
+class SeqMorphism(namedtuple("SeqMorphism", "source target levels")):
     """Per-level maps between two diagrams of equal truncation.
 
     The square condition (connect then map equals map then connect) is
     checked pointwise at construction and rejected with ValueError.
     """
 
-    source: FinSeqDiagram
-    target: FinSeqDiagram
-    levels: tuple
-
-    def __post_init__(self):
-        if len(self.source.sizes) != len(self.target.sizes):
+    def __init__(self, source, target, levels):
+        if len(source.sizes) != len(target.sizes):
             raise ValueError("source and target truncations differ")
-        if len(self.levels) != len(self.source.sizes):
+        if len(levels) != len(source.sizes):
             raise ValueError("need one level map per level")
-        for n, level in enumerate(self.levels):
-            _check_map(level, self.source.sizes[n], self.target.sizes[n], "level %d map" % n)
-        for n in range(len(self.levels) - 1):
-            here, there = self.levels[n], self.levels[n + 1]
-            connect = self.target.maps[n]
-            for x, y in enumerate(self.source.maps[n]):
+        for n, level in enumerate(levels):
+            _check_map(level, source.sizes[n], target.sizes[n], "level %d map" % n)
+        for n in range(len(levels) - 1):
+            here, there = levels[n], levels[n + 1]
+            connect = target.maps[n]
+            for x, y in enumerate(source.maps[n]):
                 if connect[here[x]] != there[y]:
                     raise ValueError("square condition violated at level %d, element %d" % (n, x))
 
@@ -201,8 +192,7 @@ def map_of_limits(m, source_limit=None, target_limit=None):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SeqZigzag:
+class SeqZigzag(namedtuple("SeqZigzag", "left right fwd bwd")):
     """Interleaved maps between two diagrams whose triangles commute.
 
     ``fwd[n]`` maps left level n to right level n, ``bwd[n]`` maps right
@@ -211,28 +201,23 @@ class SeqZigzag:
     are checked pointwise at construction.
     """
 
-    left: FinSeqDiagram
-    right: FinSeqDiagram
-    fwd: tuple
-    bwd: tuple
-
-    def __post_init__(self):
-        n = self.left.truncation
-        if self.right.truncation != n:
+    def __init__(self, left, right, fwd, bwd):
+        n = left.truncation
+        if right.truncation != n:
             raise ValueError("left and right truncations differ")
-        if len(self.fwd) != n + 1 or len(self.bwd) != n:
+        if len(fwd) != n + 1 or len(bwd) != n:
             raise ValueError("need %d forward and %d backward maps" % (n + 1, n))
-        for k, images in enumerate(self.fwd):
-            _check_map(images, self.left.sizes[k], self.right.sizes[k], "forward map %d" % k)
-        for k, images in enumerate(self.bwd):
-            _check_map(images, self.right.sizes[k], self.left.sizes[k + 1], "backward map %d" % k)
+        for k, images in enumerate(fwd):
+            _check_map(images, left.sizes[k], right.sizes[k], "forward map %d" % k)
+        for k, images in enumerate(bwd):
+            _check_map(images, right.sizes[k], left.sizes[k + 1], "backward map %d" % k)
         for k in range(n):
-            fwd, bwd, fwd_next = self.fwd[k], self.bwd[k], self.fwd[k + 1]
-            for x, y in enumerate(self.left.maps[k]):
-                if y != bwd[fwd[x]]:
+            fwd_k, bwd_k, fwd_next = fwd[k], bwd[k], fwd[k + 1]
+            for x, y in enumerate(left.maps[k]):
+                if y != bwd_k[fwd_k[x]]:
                     raise ValueError("left triangle fails at level %d, element %d" % (k, x))
-            for y, z in enumerate(self.right.maps[k]):
-                if z != fwd_next[bwd[y]]:
+            for y, z in enumerate(right.maps[k]):
+                if z != fwd_next[bwd_k[y]]:
                     raise ValueError("right triangle fails at level %d, element %d" % (k, y))
 
 
@@ -259,8 +244,7 @@ def zigzag_to_morphism(z):
     return SeqMorphism(z.left, z.right, z.fwd)
 
 
-@dataclass
-class ZigzagEquivalence:
+class ZigzagEquivalence(NamedTuple):
     """Round-trip verification of the limit maps induced by a zigzag.
 
     ``forward`` gives each left class id its right class id; ``backward``
@@ -273,7 +257,7 @@ class ZigzagEquivalence:
     forward: tuple
     backward: tuple
     checked: int
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def ok(self):

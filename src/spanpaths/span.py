@@ -19,8 +19,7 @@ serializing is the identity on valid spans.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 from typing import NamedTuple
 
 _LABEL = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -43,46 +42,39 @@ class Vertex(NamedTuple):
     index: int
 
 
-@dataclass(frozen=True)
-class FiniteSpan:
+class FiniteSpan(namedtuple("FiniteSpan", "a_vertices b_vertices edges basepoint")):
     """Two finite vertex sorts, a finite edge set bridging them, and a basepoint.
 
     ``edges[s]`` is ``(label, a_index, b_index)``: edge ``s`` runs from
     ``a_vertices[a_index]`` to ``b_vertices[b_index]``. The basepoint is an
-    index into ``a_vertices``.
+    index into ``a_vertices``. A span is a tuple of these four fields, so it
+    compares and hashes by value; the constructor validates them.
     """
 
-    a_vertices: tuple
-    b_vertices: tuple
-    edges: tuple
-    basepoint: int
-    _incidence: dict = field(init=False, repr=False, compare=False)
-    _edge_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for sort, labels in (("A", self.a_vertices), ("B", self.b_vertices)):
+    def __init__(self, a_vertices, b_vertices, edges, basepoint):
+        for sort, labels in (("A", a_vertices), ("B", b_vertices)):
             seen = set()
             for lab in labels:
                 if lab in seen:
                     raise SpanError("duplicate %s label %r" % (sort, lab))
                 seen.add(lab)
         edge_index = {}
-        for s, (label, a, b) in enumerate(self.edges):
+        for s, (label, a, b) in enumerate(edges):
             if label in edge_index:
                 raise SpanError("duplicate edge label %r" % (label,))
             edge_index[label] = s
-            if not 0 <= a < len(self.a_vertices):
+            if not 0 <= a < len(a_vertices):
                 raise SpanError("edge %r: A endpoint index %d out of range" % (label, a))
-            if not 0 <= b < len(self.b_vertices):
+            if not 0 <= b < len(b_vertices):
                 raise SpanError("edge %r: B endpoint index %d out of range" % (label, b))
-        if not 0 <= self.basepoint < len(self.a_vertices):
-            raise SpanError("basepoint index %d out of range" % (self.basepoint,))
+        if not 0 <= basepoint < len(a_vertices):
+            raise SpanError("basepoint index %d out of range" % (basepoint,))
         incidence = {v: [] for v in self.vertices()}
-        for s, (_label, a, b) in enumerate(self.edges):
+        for s, (_label, a, b) in enumerate(edges):
             incidence[Vertex("A", a)].append(s)
             incidence[Vertex("B", b)].append(s)
-        object.__setattr__(self, "_incidence", {v: tuple(es) for v, es in incidence.items()})
-        object.__setattr__(self, "_edge_index", edge_index)
+        self._incidence = {v: tuple(es) for v, es in incidence.items()}
+        self._edge_index = edge_index
 
     def a_end(self, s):
         """A-side endpoint index of edge ``s``."""
@@ -220,8 +212,7 @@ def serialize_span(span):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class RealizedGraph:
+class RealizedGraph(NamedTuple):
     """The span's geometric realization: vertices A + B, one edge per span edge.
 
     Bipartite between the two sides. ``incidence[v]`` lists ``(edge, other
@@ -230,7 +221,7 @@ class RealizedGraph:
 
     vertices: tuple
     edge_ends: tuple
-    incidence: dict = field(compare=False, repr=False)
+    incidence: dict
 
 
 def realize(span):

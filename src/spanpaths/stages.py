@@ -36,7 +36,7 @@ within the stage's length bound. The pushouts (build_stages) read no word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .seqcolim import FinSeqDiagram, SeqZigzag, partition, shift_diagram, truncate_diagram
 from .span import Vertex, realize
@@ -112,8 +112,7 @@ def cogap_set(class_of, left, blocks, values):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class StageFamily:
+class StageFamily(NamedTuple):
     """One stage of the construction, built once by build_stages.
 
     ``class_of[v]`` gives every integer cell of the fiber over vertex v its
@@ -237,8 +236,7 @@ def cycle_diagnostic(stages, n):
     return {v: st.glue_count(v) - len(st.class_of[v]) + st.sizes[v] for v in st.span.vertices()}
 
 
-@dataclass
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Outcome of matching stage classes against the reduced-word model.
 
     ``word_maps[(n, vertex)]`` is a tuple of word-tree node ids indexed by

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -51,7 +50,7 @@ def swap_stage_2_glue(build):
         stages = build(span, n)
         broken = list(stages[2].glue_a[0])
         broken[0], broken[1] = broken[1], broken[0]
-        stages[2] = dataclasses.replace(stages[2], glue_a=(tuple(broken),) + stages[2].glue_a[1:])
+        stages[2] = stages[2]._replace(glue_a=(tuple(broken),) + stages[2].glue_a[1:])
         return stages
 
     return build_stages

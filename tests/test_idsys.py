@@ -253,13 +253,13 @@ def test_build_family_on_edgeless_span(coproduct):
 
 def test_idsys_suite_families_share_one_tree(theta, monkeypatch):
     trees = []
-    post_init = DescentFamily.__post_init__
+    init = DescentFamily.__init__
 
-    def recording_post_init(fam):
-        post_init(fam)
+    def recording_init(fam, *args):
+        init(fam, *args)
         trees.append(fam.tree)
 
-    monkeypatch.setattr(DescentFamily, "__post_init__", recording_post_init)
+    monkeypatch.setattr(DescentFamily, "__init__", recording_init)
     assert all(result.ok for result in checks.idsys_suite(theta, bound=5))
     assert len(trees) == 2 * len(theta.edges) + 5
     assert all(tree is trees[0] for tree in trees)
@@ -341,3 +341,10 @@ def test_idsys_check_sabotage_flips_its_row(theta, monkeypatch, name):
 
 def test_every_idsys_check_has_a_sabotage(theta):
     assert {r.name for r in checks.idsys_suite(theta)} == set(IDSYS_SABOTAGE)
+
+
+def test_encode_decode_report_is_not_a_tuple(circle):
+    # a tuple result reads as a CLI (code, stdout) pair to perfbench/run.py
+    report = encode_decode(circle, 3)
+    assert report.ok
+    assert not isinstance(report, tuple)

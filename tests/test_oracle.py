@@ -1,8 +1,12 @@
+import ast
+import random
+import re
+
 import pytest
 
 from spanpaths import checks, oracle
 from spanpaths.oracle import Walk, compare_words_walks, nbt_walks, pi1_rank
-from spanpaths.span import Vertex, realize
+from spanpaths.span import Vertex, parse_span, realize
 
 
 def exact_length_counts(graph, start, max_len):
@@ -126,3 +130,27 @@ def test_oracle_check_sabotage_flips_its_row(corpus, monkeypatch, case):
 def test_every_oracle_check_has_a_sabotage(theta):
     names = {r.name for r in checks.oracle_suite(theta)}
     assert names == set().union(*(flipped for *_, flipped in ORACLE_SABOTAGE.values()))
+
+
+def test_random_span_failure_carries_the_span_text(monkeypatch):
+    monkeypatch.setattr(checks, "SUITE_SPANS", 3)
+    (row,) = checks.random_span_suite(seed=5)
+    assert row.ok and row.details == "3 spans"
+
+    compare = oracle.compare_words_walks
+    calls = []
+
+    def fail_second(span, max_len):
+        calls.append(span)
+        if len(calls) == 2:
+            return oracle.WordWalkReport(0, "forced")
+        return compare(span, max_len)
+
+    monkeypatch.setattr(oracle, "compare_words_walks", fail_second)
+    (row,) = checks.random_span_suite(seed=5)
+    assert not row.ok
+    match = re.fullmatch(r"span 1: forced \(span ('.*')\)", row.details)
+    assert match, row.details
+    rng = random.Random(5)
+    drawn = [checks.random_span(rng) for _ in range(3)]
+    assert parse_span(ast.literal_eval(match.group(1))) == drawn[1] == calls[1]

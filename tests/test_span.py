@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,3 +162,22 @@ def test_constructor_validates_directly():
         FiniteSpan(("a",), ("b",), (("s", 0, 1),), 0)
     with pytest.raises(SpanError, match="basepoint"):
         FiniteSpan(("a",), ("b",), (), 3)
+
+
+def test_spans_compare_and_hash_by_value(circle):
+    # the tracer keys sets of spans, so equal spans must be one key
+    text = serialize_span(circle)
+    assert {parse_span(text), parse_span(text)} == {circle}
+
+
+def test_importing_the_package_leaves_dataclasses_unimported():
+    modules = ["span", "words", "stages", "seqcolim", "idsys", "oracle", "checks", "cli"]
+    code = "import sys\n%s\nprint('dataclasses' in sys.modules)" % "\n".join(
+        "import spanpaths.%s" % name for name in modules
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

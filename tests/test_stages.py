@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -264,7 +263,7 @@ def test_stage_word_bijection_reports_structured_counterexample(circle):
     stages = build_stages(circle, 2)
     broken = list(stages[2].glue_a[0])
     broken[0], broken[1] = broken[1], broken[0]
-    stages[2] = dataclasses.replace(stages[2], glue_a=(tuple(broken),) + stages[2].glue_a[1:])
+    stages[2] = stages[2]._replace(glue_a=(tuple(broken),) + stages[2].glue_a[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
     assert report.failures == [
@@ -328,7 +327,7 @@ def test_fold_rejects_merged_classes(theta):
     stages = build_stages(theta, 2)
     a0 = Vertex("A", 0)
     merged = tuple(max(c - 1, 0) for c in stages[2].class_of[a0])
-    stages[2] = dataclasses.replace(stages[2], class_of={**stages[2].class_of, a0: merged})
+    stages[2] = stages[2]._replace(class_of={**stages[2].class_of, a0: merged})
     report = stage_word_bijection(stages, 2)
     assert not report.ok
     assert report.failures == ["stage 2 A fiber a: cocone not constant on class 0"]
@@ -339,7 +338,7 @@ def test_fold_rejects_inconsistent_cocone(theta):
     stages = build_stages(theta, 2)
     bridge = list(stages[2].glue_b[0])
     bridge[0], bridge[1] = bridge[1], bridge[0]
-    stages[2] = dataclasses.replace(stages[2], glue_b=(tuple(bridge),) + stages[2].glue_b[1:])
+    stages[2] = stages[2]._replace(glue_b=(tuple(bridge),) + stages[2].glue_b[1:])
     report = stage_word_bijection(stages, 2)
     assert not report.ok
     assert report.failures == [
