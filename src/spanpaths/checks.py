@@ -94,6 +94,28 @@ def random_unreduced_word(span, rng):
     return _random_walk(_move_table(span), span.base_vertex, rng)[0]
 
 
+def _walk_counts(span, max_len):
+    # counts[L][v]: the non-backtracking walks of length L from the basepoint
+    # to v, counted by (endpoint, last edge) state, so no walk is enumerated
+    base = span.base_vertex
+    states = {(base, -1): 1}
+    counts = [{base: 1}]
+    for length in range(1, max_len + 1):
+        side, far = ("B", span.b_end) if length % 2 else ("A", span.a_end)
+        nxt = {}
+        for (v, e), c in states.items():
+            for s in span.edges_at(v):
+                if s != e:
+                    key = (Vertex(side, far(s)), s)
+                    nxt[key] = nxt.get(key, 0) + c
+        states = nxt
+        at = {}
+        for (v, _e), c in states.items():
+            at[v] = at.get(v, 0) + c
+        counts.append(at)
+    return counts
+
+
 def word_suite(span, max_len=8, seed=0):
     results = []
     rng = random.Random(seed)
@@ -116,12 +138,22 @@ def word_suite(span, max_len=8, seed=0):
                 failures.append("crossing %s and back moves %s" % (label, format_word(span, w)))
     results.append(_result("words.mutual-inverse", failures))
 
+    # the words by length and endpoint against walk counts that enumerate
+    # nothing; endpoints are the tree's, not word_endpoint's, so this check
+    # and words.parity test different code
     failures = []
-    for length in range(max_len):
-        lower = {w for w in words if len(w) <= length}
-        upper = {w for w in words if len(w) <= length + 1}
-        if not lower <= upper or any(len(w) != length + 1 for w in upper - lower):
-            failures.append("window at %d is not monotone" % length)
+    found = [{} for _ in range(max_len + 1)]
+    for x, w in enumerate(words):
+        at = found[len(w)]
+        at[tree.end[x]] = at.get(tree.end[x], 0) + 1
+    for length, walks in enumerate(_walk_counts(span, max_len)):
+        for v in span.vertices():
+            got, want = found[length].get(v, 0), walks.get(v, 0)
+            if got != want:
+                failures.append(
+                    "%d words of length %d end at %s, %d walks do"
+                    % (got, length, span.vertex_label(v), want)
+                )
     results.append(_result("words.window-monotone", failures))
 
     # a sample is a walk along the move table, so a valid word, and a pure
@@ -408,29 +440,6 @@ SUITE_SPANS = 100
 SUITE_DEPTH = 4
 
 
-def _nbt_count(span, max_len):
-    # walk counts by (last edge) state; cheap screen before any enumeration
-    counts = {}
-    for s in span.edges_at(span.base_vertex):
-        counts[s] = counts.get(s, 0) + 1
-    total = 1 + sum(counts.values())
-    parity = 1
-    for _ in range(max_len - 1):
-        nxt = {}
-        for e, c in counts.items():
-            at = Vertex("B", span.b_end(e)) if parity % 2 == 1 else Vertex("A", span.a_end(e))
-            for e2 in span.edges_at(at):
-                if e2 == e:
-                    continue
-                nxt[e2] = nxt.get(e2, 0) + c
-        counts = nxt
-        parity += 1
-        total += sum(counts.values())
-        if not counts:
-            break
-    return total
-
-
 def random_span(rng):
     """A seeded random span within the size bounds, screened for desk scale.
 
@@ -448,7 +457,8 @@ def random_span(rng):
             tuple(("s%d" % k, rng.randrange(na), rng.randrange(nb)) for k in range(ns)),
             rng.randrange(na),
         )
-        if _nbt_count(span, RANDOM_MAX_LEN) <= RANDOM_WALK_BUDGET:
+        walks = sum(sum(at.values()) for at in _walk_counts(span, RANDOM_MAX_LEN))
+        if walks <= RANDOM_WALK_BUDGET:
             return span
 
 

@@ -2,8 +2,14 @@
 
 Subcommands: info, stages, enumerate, reduce, limit, check. Output is plain
 text by default; --json switches every command to a single JSON object with
-a stable schema (documented in the README). Exit codes: 0 success, 1 a
-check reported failures, 2 parse or usage errors.
+a stable schema (documented in the README). A command takes the parsed
+arguments and the loaded span and returns its exit code, JSON payload and
+text lines; ``run`` alone loads the span, prints, and reports errors.
+
+Exit codes: 0 success, 1 a check reported failures, 2 a usage error or a bad
+input (a missing, non-UTF-8 or malformed span file, an unknown vertex, a bad
+word, a stdout its reader closed), reported on stderr as one ``error:`` line
+and never as a traceback.
 """
 
 from __future__ import annotations
@@ -119,16 +125,7 @@ def dumps(value):
     return _text(value, "\n")
 
 
-def _emit(args, payload, text_lines):
-    if args.json:
-        print(dumps(payload))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _cmd_info(args):
-    span = _load_span(args.file)
+def _cmd_info(args, span):
     graph = realize(span)
     remaining = set(graph.vertices)
     components = 0
@@ -149,22 +146,16 @@ def _cmd_info(args):
         "basepoint_component_size": len(base_component),
         "pi1_rank": rank,
     }
-    _emit(
-        args,
-        payload,
-        [
-            "|A| = %d, |B| = %d, |S| = %d" % (len(span.a_vertices), len(span.b_vertices), len(span.edges)),
-            "basepoint: %s" % span.a_vertices[span.basepoint],
-            "components: %d (basepoint component has %d vertices)"
-            % (components, len(base_component)),
-            "pi1 rank at basepoint: %d" % rank,
-        ],
-    )
-    return 0
+    return 0, payload, [
+        "|A| = %d, |B| = %d, |S| = %d" % (len(span.a_vertices), len(span.b_vertices), len(span.edges)),
+        "basepoint: %s" % span.a_vertices[span.basepoint],
+        "components: %d (basepoint component has %d vertices)"
+        % (components, len(base_component)),
+        "pi1 rank at basepoint: %d" % rank,
+    ]
 
 
-def _cmd_stages(args):
-    span = _load_span(args.file)
+def _cmd_stages(args, span):
     stages = build_stages(span, args.up_to)
     report = stage_word_bijection(stages, args.up_to)
     # a stage is ok only when each of its fibers was folded into a bijection
@@ -193,12 +184,10 @@ def _cmd_stages(args):
         )
     if not report.ok:
         lines += ["mismatch: " + f for f in report.failures[:5]]
-    _emit(args, payload, lines)
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), payload, lines
 
 
-def _cmd_enumerate(args):
-    span = _load_span(args.file)
+def _cmd_enumerate(args, span):
     endpoint = span.lookup_vertex(args.endpoint)
     words = enumerate_words(span, endpoint, args.max_len)
     rendered = [format_word(span, w) for w in words]
@@ -208,22 +197,18 @@ def _cmd_enumerate(args):
         "max_len": args.max_len,
         "words": rendered,
     }
-    _emit(args, payload, rendered)
-    return 0
+    return 0, payload, rendered
 
 
-def _cmd_reduce(args):
-    span = _load_span(args.file)
+def _cmd_reduce(args, span):
     word = parse_word(span, args.word)
     normal = reduce_word(span, word)
     rendered = format_word(span, normal)
     payload = {"command": "reduce", "input": args.word, "normal_form": rendered}
-    _emit(args, payload, [rendered])
-    return 0
+    return 0, payload, [rendered]
 
 
-def _cmd_limit(args):
-    span = _load_span(args.file)
+def _cmd_limit(args, span):
     endpoint = span.lookup_vertex(args.endpoint)
     stages = build_stages(span, args.up_to)
     report = stage_word_bijection(stages, args.up_to)
@@ -248,12 +233,10 @@ def _cmd_limit(args):
     if not args.json:
         lines = ["classes: %d" % limit.class_count]
         lines += ["stage=%d %s" % (entry["stage"], entry.get("word", "?")) for entry in reps]
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def _cmd_check(args):
-    span = _load_span(args.file)
+def _cmd_check(args, span):
     results = checks.run_all(
         span,
         seed=args.seed,
@@ -265,17 +248,14 @@ def _cmd_check(args):
     payload = {
         "command": "check",
         "ok": ok,
-        "results": [
-            {"name": r.name, "ok": r.ok, "details": r.details} for r in results
-        ],
+        "results": [r._asdict() for r in results],
     }
     lines = [
         "%s %s%s" % ("ok  " if r.ok else "FAIL", r.name, (": " + r.details) if r.details else "")
         for r in results
     ]
     lines.append("check: %s" % ("all suites passed" if ok else "FAILURES"))
-    _emit(args, payload, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload, lines
 
 
 def _int_at_least(minimum):
@@ -300,56 +280,51 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="span cardinalities, components, fundamental group rank")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_info)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("stages", help="stage table: fiber sizes, glue, cycles, word bijection")
-    p.add_argument("file")
+    command("info", _cmd_info, "span cardinalities, components, fundamental group rank")
+
+    p = command("stages", _cmd_stages, "stage table: fiber sizes, glue, cycles, word bijection")
     p.add_argument("--up-to", type=_int_at_least(0), default=3, metavar="N")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_stages)
 
-    p = sub.add_parser("enumerate", help="reduced words to an endpoint, canonical order")
-    p.add_argument("file")
+    p = command("enumerate", _cmd_enumerate, "reduced words to an endpoint, canonical order")
     p.add_argument("--endpoint", required=True, metavar="V")
     p.add_argument("--max-len", type=_int_at_least(0), default=6, metavar="L")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("reduce", help="normal form of a word")
-    p.add_argument("file")
+    p = command("reduce", _cmd_reduce, "normal form of a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("limit", help="direct limit classes of one fiber's stage diagram")
-    p.add_argument("file")
+    p = command("limit", _cmd_limit, "direct limit classes of one fiber's stage diagram")
     p.add_argument("--up-to", type=_int_at_least(0), default=3, metavar="N")
     p.add_argument("--endpoint", required=True, metavar="V")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser("check", help="run every module's invariant suite")
-    p.add_argument("file")
+    p = command("check", _cmd_check, "run every module's invariant suite")
     p.add_argument("--oracle", action="store_true", help="add the graph-walk oracle suite")
     p.add_argument("--seed", type=int, default=0, metavar="K")
     p.add_argument("--max-len", type=_int_at_least(1), default=8, metavar="L")
     p.add_argument("--stages", type=_int_at_least(2), default=4, metavar="N")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def run(argv=None):
+    # printing stays inside the try: a reader that closes stdout is an OSError too
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args, _load_span(args.file))
+        for line in [dumps(payload)] if args.json else lines:
+            print(line)
+        return code
     except (SpanError, WordError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

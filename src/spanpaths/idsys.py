@@ -31,9 +31,9 @@ object is shared by all of them; validation checks each shared pair once.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
+from .span import record
 from .words import word_tree
 
 
@@ -49,7 +49,7 @@ def _links(tree, size):
         yield (x, last_edge[x], p, x) if depth[x] % 2 else (x, last_edge[x], x, p)
 
 
-class DescentFamily(namedtuple("DescentFamily", "span bound fibers transitions")):
+class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
     """Fibers over all reduced words within ``bound``, plus crossing bijections.
 
     Words are the node ids of ``tree``, the family's word tree, which the
@@ -159,7 +159,7 @@ def random_family(span, bound, rng):
     )
 
 
-class Section(namedtuple("Section", "family values")):
+class Section(record("Section", "family values")):
     """Values of a section, one per node id of the family's tree."""
 
     def __init__(self, family, values):

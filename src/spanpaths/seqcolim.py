@@ -13,8 +13,9 @@ deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
 from typing import NamedTuple
+
+from .span import record
 
 
 def partition(total, glue):
@@ -75,7 +76,7 @@ def _check_map(images, size, target, what):
         raise ValueError("%s sends an element outside its %d-element target" % (what, target))
 
 
-class FinSeqDiagram(namedtuple("FinSeqDiagram", "sizes maps")):
+class FinSeqDiagram(record("FinSeqDiagram", "sizes maps")):
     """Levels ``0..sizes[n]-1`` with total connecting maps ``maps[n]``."""
 
     def __init__(self, sizes, maps):
@@ -135,7 +136,7 @@ def direct_limit(d):
     return DirectLimit(tuple(offsets), *partition(total, glue))
 
 
-class SeqMorphism(namedtuple("SeqMorphism", "source target levels")):
+class SeqMorphism(record("SeqMorphism", "source target levels")):
     """Per-level maps between two diagrams of equal truncation.
 
     The square condition (connect then map equals map then connect) is
@@ -192,7 +193,7 @@ def map_of_limits(m, source_limit=None, target_limit=None):
     return tuple(out)
 
 
-class SeqZigzag(namedtuple("SeqZigzag", "left right fwd bwd")):
+class SeqZigzag(record("SeqZigzag", "left right fwd bwd")):
     """Interleaved maps between two diagrams whose triangles commute.
 
     ``fwd[n]`` maps left level n to right level n, ``bwd[n]`` maps right

@@ -42,7 +42,18 @@ class Vertex(NamedTuple):
     index: int
 
 
-class FiniteSpan(namedtuple("FiniteSpan", "a_vertices b_vertices edges basepoint")):
+def record(name, fields):
+    """A namedtuple base for a class that validates in its ``__init__``.
+
+    Its ``_make``, and so ``_replace``, goes through the class's constructor,
+    so a changed record is validated and gets its derived attributes again.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
     """Two finite vertex sorts, a finite edge set bridging them, and a basepoint.
 
     ``edges[s]`` is ``(label, a_index, b_index)``: edge ``s`` runs from

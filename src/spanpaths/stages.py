@@ -247,7 +247,6 @@ class BijectionReport(NamedTuple):
     inclusion and both bridges (see stage_word_bijection).
     """
 
-    max_stage: int
     tree: WordTree
     word_maps: dict
     rows: list
@@ -331,10 +330,10 @@ def stage_word_bijection(stages, n):
                     failures.append(
                         "stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc)
                     )
-                return BijectionReport(n, tree, word_maps, rows, failures)
+                return BijectionReport(tree, word_maps, rows, failures)
             latest[vtx] = word_maps[(k, vtx)] = ids
             check_fiber(k, vtx, ids)
-    return BijectionReport(n, tree, word_maps, rows, failures)
+    return BijectionReport(tree, word_maps, rows, failures)
 
 
 def stage_diagram(stages, vertex):

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -403,6 +406,78 @@ def test_bad_word_exits_two(capsys):
     code, _, err = run(capsys, ["reduce", CIRCLE, "--word", ">s >s"])
     assert code == 2
     assert "alternate" in err
+
+
+# each command with arguments that succeed on CIRCLE
+GOOD_ARGS = {
+    "info": [],
+    "stages": [],
+    "enumerate": ["--endpoint", "a"],
+    "reduce": ["--word", "refl"],
+    "limit": ["--endpoint", "a"],
+    "check": [],
+}
+# a bad span file's bytes (None: no file), then bad arguments by command;
+# test_non_utf8_span_file_exits_two runs every command on a non-UTF-8 file
+BAD_FILES = {
+    "missing-file": None,
+    "malformed-span": b"A a\nB b\nS s a q\nbase a\n",
+}
+BAD_ARGS = {
+    "unknown-endpoint": {"enumerate": ["--endpoint", "nope"], "limit": ["--endpoint", "nope"]},
+    "bad-word": {"reduce": ["--word", ">s >s"]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [(command, bad) for command in GOOD_ARGS for bad in BAD_FILES]
+    + [(command, bad) for bad, by_command in BAD_ARGS.items() for command in by_command],
+)
+def test_every_bad_input_exits_two_with_one_error_line(capsys, tmp_path, command, bad):
+    path, args = CIRCLE, GOOD_ARGS[command]
+    if bad in BAD_FILES:
+        path = str(tmp_path / "bad.span")
+        if BAD_FILES[bad] is not None:
+            Path(path).write_bytes(BAD_FILES[bad])
+    else:
+        args = BAD_ARGS[bad][command]
+    code, out, err = run(capsys, [command, path] + args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def spanpaths(*argv):
+    """Start ``python -m spanpaths`` on ``argv`` with piped text stdout and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SPAN_DIR.parent / "src"))
+    command = [sys.executable, "-m", "spanpaths", *argv]
+    pipe = subprocess.PIPE
+    return subprocess.Popen(command, env=env, stdout=pipe, stderr=pipe, text=True)
+
+
+def test_module_entry_point_exit_codes():
+    proc = spanpaths("info", CIRCLE)
+    out, err = proc.communicate()
+    assert (proc.returncode, out.splitlines()[0], err) == (0, "|A| = 1, |B| = 1, |S| = 2", "")
+    proc = spanpaths("info", "no-such-file.span")
+    out, err = proc.communicate()
+    assert (proc.returncode, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: 'no-such-file.span'\n"
+
+
+def test_closed_stdout_exits_two_with_one_error_line():
+    # about 1 MB of words: far more than a pipe holds, so the writer is still
+    # writing when the reader goes away
+    theta = str(SPAN_DIR / "theta.span")
+    proc = spanpaths("enumerate", theta, "--endpoint", "a", "--max-len", "14")
+    assert proc.stdout.readline() == "refl\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_usage_error_exits_two(capsys):

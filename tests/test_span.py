@@ -15,6 +15,9 @@ from spanpaths.span import (
     serialize_span,
 )
 
+from spanpaths.idsys import elim_section, trivial_family
+from spanpaths.seqcolim import FinSeqDiagram, SeqMorphism, SeqZigzag
+
 from conftest import CORPUS_TEXT
 
 SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
@@ -162,6 +165,47 @@ def test_constructor_validates_directly():
         FiniteSpan(("a",), ("b",), (("s", 0, 1),), 0)
     with pytest.raises(SpanError, match="basepoint"):
         FiniteSpan(("a",), ("b",), (), 3)
+
+
+def _validating_records():
+    # type name -> (a valid record, a field change its constructor rejects, the message)
+    theta = parse_span(CORPUS_TEXT["theta"])
+    diagram = FinSeqDiagram((1, 2), ((0,),))
+    family = trivial_family(theta, 2)
+    return {
+        "FiniteSpan": (theta, {"basepoint": 5}, "basepoint index 5 out of range"),
+        "FinSeqDiagram": (diagram, {"maps": ()}, "one connecting map"),
+        "SeqMorphism": (
+            SeqMorphism(diagram, diagram, ((0,), (0, 1))),
+            {"levels": ((0,), (1, 0))},
+            "square condition",
+        ),
+        "SeqZigzag": (
+            SeqZigzag(diagram, diagram, ((0,), (0, 1)), ((0,),)), {"bwd": ((1,),)}, "left triangle"
+        ),
+        "DescentFamily": (family, {"fibers": family.fibers[:-1]}, "fiber table incomplete"),
+        "Section": (elim_section(family, 0), {"values": []}, "one value per word"),
+    }
+
+
+@pytest.mark.parametrize(
+    "name", ["FiniteSpan", "FinSeqDiagram", "SeqMorphism", "SeqZigzag", "DescentFamily", "Section"]
+)
+def test_replace_and_make_validate_like_the_constructor(name):
+    record, bad, message = _validating_records()[name]
+    with pytest.raises(ValueError, match=message):
+        record._replace(**bad)
+    with pytest.raises(ValueError, match=message):
+        type(record)._make({**record._asdict(), **bad}.values())
+    # a valid change is rebuilt by the constructor, derived attributes
+    # (a span's _incidence, a family's tree) included
+    for copy in (record._replace(), type(record)._make(record)):
+        assert type(copy) is type(record) and copy == record
+        assert vars(copy) == vars(record)
+    if name == "FiniteSpan":
+        moved = record._replace(a_vertices=("z",))
+        assert moved.edges_at(Vertex("A", 0)) == (0, 1, 2)
+        assert moved.lookup_vertex("z") == Vertex("A", 0)
 
 
 def test_spans_compare_and_hash_by_value(circle):

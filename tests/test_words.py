@@ -1,6 +1,7 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -224,6 +225,19 @@ def test_random_span_draws_are_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SPAN_DIGESTS[seed]
 
 
+def test_walk_counts_equal_the_oracle_walks_by_length_and_endpoint(corpus):
+    for span in corpus.values():
+        for bound in range(5):
+            expected = [Counter() for _ in range(bound + 1)]
+            for walk in nbt_walks(realize(span), span.base_vertex, bound):
+                expected[len(walk.edges)][walk.vertices[-1]] += 1
+            assert checks._walk_counts(span, bound) == [dict(c) for c in expected]
+
+
+def test_walk_counts_at_length_zero_are_refl_alone(circle):
+    assert checks._walk_counts(circle, 0) == [{Vertex("A", 0): 1}]
+
+
 def test_reduce_confluence_checks_each_distinct_sample_once(theta, monkeypatch):
     checked = []
     cancel = checks._cancel_pairs
@@ -271,19 +285,9 @@ WORD_SABOTAGE = {
         checks, "all_reduced_words", lambda enum: lambda span, bound: enum(span, bound)[:-1]
     ),
 }
-# both of its sets filter one list by length, so no input can fail it; once
-# its body compares enumeration counts with independent per-length counts,
-# this case passes and the strict xfail reports it
-CANNOT_FAIL_YET = pytest.mark.xfail(strict=True, reason="words.window-monotone cannot fail yet")
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=CANNOT_FAIL_YET if name == "words.window-monotone" else ())
-        for name in WORD_SABOTAGE
-    ],
-)
+@pytest.mark.parametrize("name", list(WORD_SABOTAGE))
 def test_word_check_sabotage_flips_only_its_row(theta, monkeypatch, name):
     target, attribute, sabotage = WORD_SABOTAGE[name]
     assert all(r.ok for r in checks.word_suite(theta))
