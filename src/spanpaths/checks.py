@@ -8,6 +8,7 @@ pieces draw from an explicit seed and are byte-deterministic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import NamedTuple
 
 from . import idsys, oracle
@@ -24,7 +25,7 @@ from .seqcolim import (
     zigzag_equivalence,
     zigzag_to_morphism,
 )
-from .span import FiniteSpan, Vertex, realize, serialize_span
+from .span import FiniteSpan, realize, serialize_span
 from .stages import (
     build_stages,
     construction_zigzag,
@@ -40,6 +41,7 @@ from .words import (
     _cancel_pairs,
     _cancel_rightmost,
     all_reduced_words,
+    count_words,
     format_word,
     is_reduced,
     parse_word,
@@ -94,28 +96,6 @@ def random_unreduced_word(span, rng):
     return _random_walk(_move_table(span), span.base_vertex, rng)[0]
 
 
-def _walk_counts(span, max_len):
-    # counts[L][v]: the non-backtracking walks of length L from the basepoint
-    # to v, counted by (endpoint, last edge) state, so no walk is enumerated
-    base = span.base_vertex
-    states = {(base, -1): 1}
-    counts = [{base: 1}]
-    for length in range(1, max_len + 1):
-        side, far = ("B", span.b_end) if length % 2 else ("A", span.a_end)
-        nxt = {}
-        for (v, e), c in states.items():
-            for s in span.edges_at(v):
-                if s != e:
-                    key = (Vertex(side, far(s)), s)
-                    nxt[key] = nxt.get(key, 0) + c
-        states = nxt
-        at = {}
-        for (v, _e), c in states.items():
-            at[v] = at.get(v, 0) + c
-        counts.append(at)
-    return counts
-
-
 def word_suite(span, max_len=8, seed=0):
     results = []
     rng = random.Random(seed)
@@ -138,17 +118,14 @@ def word_suite(span, max_len=8, seed=0):
                 failures.append("crossing %s and back moves %s" % (label, format_word(span, w)))
     results.append(_result("words.mutual-inverse", failures))
 
-    # the words by length and endpoint against walk counts that enumerate
-    # nothing; endpoints are the tree's, not word_endpoint's, so this check
+    # the words by length and endpoint against count_words, which builds no
+    # word; endpoints are the tree's, not word_endpoint's, so this check
     # and words.parity test different code
     failures = []
-    found = [{} for _ in range(max_len + 1)]
-    for x, w in enumerate(words):
-        at = found[len(w)]
-        at[tree.end[x]] = at.get(tree.end[x], 0) + 1
-    for length, walks in enumerate(_walk_counts(span, max_len)):
+    found = Counter((len(w), tree.end[x]) for x, w in enumerate(words))
+    for length, walks in enumerate(count_words(span, max_len)):
         for v in span.vertices():
-            got, want = found[length].get(v, 0), walks.get(v, 0)
+            got, want = found[length, v], walks.get(v, 0)
             if got != want:
                 failures.append(
                     "%d words of length %d end at %s, %d walks do"
@@ -406,7 +383,8 @@ def idsys_suite(span, bound=6, seed=0):
     )
 
     failures = []
-    fam = idsys.build_family(span, bound, lambda v: (0, 1), lambda s, x: {0: 0, 1: 1})
+    same = {0: 0, 1: 1}  # one dict for every link, so one pair is inverted and validated
+    fam = idsys.build_family(span, bound, lambda v: (0, 1), lambda s, x: same)
     q0 = fam.fibers[0][0]
     section = idsys.elim_section(fam, q0)
     # length <= bound - 1 keeps the flipped value inside check_computation's window
@@ -457,7 +435,7 @@ def random_span(rng):
             tuple(("s%d" % k, rng.randrange(na), rng.randrange(nb)) for k in range(ns)),
             rng.randrange(na),
         )
-        walks = sum(sum(at.values()) for at in _walk_counts(span, RANDOM_MAX_LEN))
+        walks = sum(sum(at.values()) for at in count_words(span, RANDOM_MAX_LEN))
         if walks <= RANDOM_WALK_BUDGET:
             return span
 

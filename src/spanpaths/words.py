@@ -13,7 +13,9 @@ for based paths in the realized graph, and they are what the staged pushout
 construction's colimit classes are matched against. Consumers that walk many
 words use a WordTree, which stores the reduced words within a bound as
 integer nodes in canonical order; tuple words are what parse, format and
-reports use.
+reports use. ``count_words`` counts them per last edge, building none: the
+words whose next step crosses edge s are those at s's near end less those
+whose last step was s. The random-span screen and words.window-monotone read it.
 
 Text syntax: ``refl``, or a whitespace separated list like ``>s <t >s``
 (``>`` forward, ``<`` backward, followed by the edge label).
@@ -273,6 +275,26 @@ def enumerate_words(span, endpoint, max_len):
         raise WordError("unknown endpoint %r" % (endpoint,))
     tree = word_tree(span, max_len)
     return [tree.word(x) for x in tree.nodes_at(endpoint, max_len)]
+
+
+def count_words(span, max_len):
+    """``counts[L][v]``: the reduced words of length L ending at v, for L <= max_len.
+
+    Counted per last edge on the non-backtracking edge matrix (Hashimoto, 1989);
+    unreached vertices are left out, and a negative bound yields [].
+    """
+    ends = ([a for _, a, _ in span.edges], [b for _, _, b in span.edges])
+    words = [int(a == span.basepoint) for a in range(len(span.a_vertices))]
+    last = [0] * len(span.edges)
+    counts = [{span.base_vertex: 1}] if max_len >= 0 else []
+    for length in range(1, max_len + 1):
+        side = length % 2  # odd lengths step from A to B
+        last = [words[v] - c for v, c in zip(ends[1 - side], last)]
+        words = [0] * len(span.b_vertices if side else span.a_vertices)
+        for v, c in zip(ends[side], last):
+            words[v] += c
+        counts.append({Vertex("AB"[side], v): c for v, c in enumerate(words) if c})
+    return counts
 
 
 def parse_word(span, text):

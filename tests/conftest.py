@@ -1,6 +1,6 @@
 import pytest
 
-from spanpaths.span import parse_span
+from spanpaths.span import FiniteSpan, parse_span
 
 CORPUS_TEXT = {
     "circle": "A a\nB b\nS s a b\nS t a b\nbase a\n",
@@ -71,3 +71,18 @@ def _bfs_classes(cells, pairs):
 @pytest.fixture
 def bfs_classes():
     return _bfs_classes
+
+
+def _span_of(na, nb, ends, base=0):
+    """A span on vertices a0.. and b0.. with edges s0, s1, .. at the (a, b) ``ends``."""
+    return FiniteSpan(
+        tuple("a%d" % i for i in range(na)),
+        tuple("b%d" % j for j in range(nb)),
+        tuple(("s%d" % k, a, b) for k, (a, b) in enumerate(ends)),
+        base,
+    )
+
+
+@pytest.fixture
+def span_of():
+    return _span_of

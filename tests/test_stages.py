@@ -14,8 +14,9 @@ from spanpaths.stages import (
     pushout_pi0,
     stage_diagram,
     stage_word_bijection,
+    word_bound,
 )
-from spanpaths.words import enumerate_words, format_word
+from spanpaths.words import count_words, enumerate_words, format_word
 
 # (left, blocks) gluing spans: x is inl cell 0 and y the one cell of a block
 COPRODUCT = (0, ((1, ()), (1, ())))  # x and y both bridged, nothing glued
@@ -290,6 +291,29 @@ def test_theta_stages_to_six(theta):
             assert len(class_of) == left + len(edges) * block
             assert st.glue_count(vertex) == len(st.glue_edges(vertex)) == left * len(edges)
     assert stage_word_bijection(stages, depth).ok
+
+
+# name -> (|A|, |B|, edge ends, depth, cells built through that depth): far
+# past the depths the stage/word bijection reaches in tier-1
+DEEP_STAGES = {
+    "theta": (1, 1, [(0, 0)] * 3, 9, 1834930),
+    "k33": (3, 3, [(a, b) for a in range(3) for b in range(3)], 8, 458682),
+    "bouquet3": (1, 3, [(0, j) for j in range(3) for _ in range(2)], 7, 527282),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_STAGES))
+def test_deep_stage_class_counts_are_word_counts(span_of, name):
+    # from the builds alone: stage n's fiber over v has one class per reduced
+    # word to v of length <= word_bound(n, v)
+    na, nb, ends, depth, cells = DEEP_STAGES[name]
+    span = span_of(na, nb, ends)
+    counts = count_words(span, 2 * depth)
+    built = build_stages(span, depth)
+    assert sum(len(class_of) for st in built for class_of in st.class_of.values()) == cells
+    for st in built:
+        for v, size in st.sizes.items():
+            assert size == sum(at.get(v, 0) for at in counts[: word_bound(st.n, v) + 1])
 
 
 def _decoded_cells(stages, n, vertex):

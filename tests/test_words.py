@@ -15,6 +15,7 @@ from spanpaths.words import (
     WordError,
     WordTree,
     all_reduced_words,
+    count_words,
     enumerate_words,
     format_word,
     is_reduced,
@@ -225,17 +226,54 @@ def test_random_span_draws_are_pinned(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_SPAN_DIGESTS[seed]
 
 
-def test_walk_counts_equal_the_oracle_walks_by_length_and_endpoint(corpus):
+def test_count_words_equal_the_oracle_walks_by_length_and_endpoint(corpus):
     for span in corpus.values():
         for bound in range(5):
             expected = [Counter() for _ in range(bound + 1)]
             for walk in nbt_walks(realize(span), span.base_vertex, bound):
                 expected[len(walk.edges)][walk.vertices[-1]] += 1
-            assert checks._walk_counts(span, bound) == [dict(c) for c in expected]
+            assert count_words(span, bound) == [dict(c) for c in expected]
 
 
-def test_walk_counts_at_length_zero_are_refl_alone(circle):
-    assert checks._walk_counts(circle, 0) == [{Vertex("A", 0): 1}]
+def test_count_words_at_length_zero_are_refl_alone(circle):
+    assert count_words(circle, 0) == [{Vertex("A", 0): 1}]
+
+
+def test_a_negative_bound_counts_no_word_and_passes_every_word_check(circle):
+    assert count_words(circle, -1) == all_reduced_words(circle, -1) == []
+    rows = checks.word_suite(circle, max_len=-1)
+    assert [r.name for r in rows] == [r.name for r in checks.word_suite(circle)]
+    assert all(r.ok for r in rows)
+
+
+def test_count_words_agrees_with_the_tree_the_walks_and_the_stages(span_of):
+    # four models on generated spans: count_words, the word tree, the oracle's
+    # walks and the stage class counts; hypothesis shrinks a failing span
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    depth = 3
+
+    @st.composite
+    def spans(draw):
+        na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        ends = draw(st.lists(st.tuples(st.integers(0, na - 1), st.integers(0, nb - 1)), max_size=5))
+        return span_of(na, nb, ends, draw(st.integers(0, na - 1)))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(spans())
+    def check(span):
+        counts = count_words(span, 2 * depth)
+        expected = {(length, v): c for length, at in enumerate(counts) for v, c in at.items()}
+        tree = WordTree(span, 2 * depth)
+        assert Counter(zip(tree.depth, tree.end)) == expected
+        walks = nbt_walks(realize(span), span.base_vertex, 2 * depth)
+        assert Counter((len(walk.edges), walk.vertices[-1]) for walk in walks) == expected
+        for stage in stages.build_stages(span, depth):
+            for v, size in stage.sizes.items():
+                bound = stages.word_bound(stage.n, v)
+                assert size == sum(at.get(v, 0) for at in counts[: bound + 1])
+
+    check()
 
 
 def test_reduce_confluence_checks_each_distinct_sample_once(theta, monkeypatch):
