@@ -35,9 +35,6 @@ from .stages import (
     word_bound,
 )
 from .words import (
-    BWD,
-    FWD,
-    Step,
     _cancel_pairs,
     _cancel_rightmost,
     all_reduced_words,
@@ -69,31 +66,23 @@ SAMPLES = 1000
 SAMPLE_LEN = 12
 
 
-def _move_table(span):
-    # vertex -> ((Step, far Vertex), ...) in edges_at order, each Step built once
-    return {
-        v: tuple((Step(FWD if v.side == "A" else BWD, s), w) for s, w in moves)
-        for v, moves in realize(span).incidence.items()
-    }
-
-
-def _random_walk(table, start, rng):
-    # the steps of a random walk from start, and where it stops
+def _random_walk(incidence, start, rng):
+    # the edges of a random walk from start, and where it stops
     word = []
     at = start
     choice = rng.choice
     for _ in range(rng.randint(0, SAMPLE_LEN)):
-        options = table[at]
+        options = incidence[at]
         if not options:
             break
-        step, at = choice(options)
-        word.append(step)
+        s, at = choice(options)
+        word.append(s)
     return tuple(word), at
 
 
 def random_unreduced_word(span, rng):
     """A structurally valid, possibly backtracking word from the basepoint."""
-    return _random_walk(_move_table(span), span.base_vertex, rng)[0]
+    return _random_walk(realize(span).incidence, span.base_vertex, rng)[0]
 
 
 def word_suite(span, max_len=8, seed=0):
@@ -102,10 +91,12 @@ def word_suite(span, max_len=8, seed=0):
     tree = word_tree(span, max_len)
     words = all_reduced_words(span, max_len)
 
+    # word_endpoint reads the last edge's end, the tree followed every edge's
+    # ends as it grew: the two must agree, on the side the length parity names
     failures = []
-    for w in words:
+    for x, w in enumerate(words):
         end = word_endpoint(span, w)
-        if (end.side == "A") != (len(w) % 2 == 0):
+        if end != tree.end[x] or (end.side == "A") != (len(w) % 2 == 0):
             failures.append("parity broken at %s" % format_word(span, w))
     results.append(_result("words.parity", failures))
 
@@ -120,7 +111,7 @@ def word_suite(span, max_len=8, seed=0):
 
     # the words by length and endpoint against count_words, which builds no
     # word; endpoints are the tree's, not word_endpoint's, so this check
-    # and words.parity test different code
+    # and words.parity fail on different faults
     failures = []
     found = Counter((len(w), tree.end[x]) for x, w in enumerate(words))
     for length, walks in enumerate(count_words(span, max_len)):
@@ -133,17 +124,17 @@ def word_suite(span, max_len=8, seed=0):
                 )
     results.append(_result("words.window-monotone", failures))
 
-    # a sample is a walk along the move table, so a valid word, and a pure
+    # a sample is a walk in the realized graph, so a valid word, and a pure
     # function of its steps, so each distinct one is checked once; a normal
-    # form's endpoint is read off the table, not word_endpoint, so this check
-    # and words.parity test different code
+    # form's endpoint is its last edge's end on the side its length parity
+    # names, read off the graph, not word_endpoint, so this check and
+    # words.parity test different code
     failures = []
-    table = _move_table(span)
-    far = {step: v for options in table.values() for step, v in options}
+    graph = realize(span)
     base = span.base_vertex
     seen = set()
     for _ in range(SAMPLES):
-        raw, end = _random_walk(table, base, rng)
+        raw, end = _random_walk(graph.incidence, base, rng)
         if raw in seen:
             continue
         seen.add(raw)
@@ -153,7 +144,7 @@ def word_suite(span, max_len=8, seed=0):
             failures.append("strategies disagree on %s" % format_word(span, raw))
         if not is_reduced(left):
             failures.append("normal form of %s is not reduced" % format_word(span, raw))
-        if (far.get(left[-1]) if left else base) != end:
+        if (graph.edge_ends[left[-1]][len(left) % 2] if left else base) != end:
             failures.append("normal form of %s moves the endpoint" % format_word(span, raw))
         if (len(raw) - len(left)) % 2:
             failures.append("normal form of %s drops an odd step count" % format_word(span, raw))

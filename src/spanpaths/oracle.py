@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .span import component_of, realize
-from .words import FWD, all_reduced_words
+from .words import all_reduced_words
 
 
 class Walk(NamedTuple):
@@ -67,8 +67,9 @@ def compare_words_walks(span, max_len):
 
     The i-th of all reduced words and the i-th of all walks from the
     basepoint, each enumerated once in canonical order, must cross the same
-    edges in the same order, with forward steps traversing A to B and
-    backward steps B to A. Reports the first mismatch instead of raising.
+    edges in the same order, with the even (forward) steps traversing A to B
+    and the odd (backward) steps B to A. Reports the first mismatch instead
+    of raising.
     """
     words = all_reduced_words(span, max_len)
     walks = nbt_walks(realize(span), span.base_vertex, max_len)
@@ -79,19 +80,14 @@ def compare_words_walks(span, max_len):
     for i, (word, walk) in enumerate(zip(words, walks)):
         if len(word) != len(walk.edges):
             return WordWalkReport(len(words), "item %d: lengths differ" % (i,))
-        for j, step in enumerate(word):
-            if step.edge != walk.edges[j]:
+        for j, s in enumerate(word):
+            if s != walk.edges[j]:
                 return WordWalkReport(
                     len(words), "item %d step %d: edges differ" % (i, j)
                 )
             src, dst = walk.vertices[j], walk.vertices[j + 1]
-            if step.direction == FWD:
-                fits = src.side == "A" and dst.side == "B"
-            else:
-                fits = src.side == "B" and dst.side == "A"
-            if not fits or src.index != (
-                span.a_end(step.edge) if src.side == "A" else span.b_end(step.edge)
-            ):
+            fits = src.side + dst.side == ("AB" if j % 2 == 0 else "BA")
+            if not fits or src.index != (span.a_end(s) if src.side == "A" else span.b_end(s)):
                 return WordWalkReport(
                     len(words), "item %d step %d: orientation differs" % (i, j)
                 )

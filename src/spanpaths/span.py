@@ -59,18 +59,21 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
     ``edges[s]`` is ``(label, a_index, b_index)``: edge ``s`` runs from
     ``a_vertices[a_index]`` to ``b_vertices[b_index]``. The basepoint is an
     index into ``a_vertices``. A span is a tuple of these four fields, so it
-    compares and hashes by value; the constructor validates them.
+    compares and hashes by value; the constructor validates them, labels
+    included, so every span can be written as a span file and parsed back.
     """
 
     def __init__(self, a_vertices, b_vertices, edges, basepoint):
         for sort, labels in (("A", a_vertices), ("B", b_vertices)):
             seen = set()
             for lab in labels:
+                _check_label(lab)
                 if lab in seen:
                     raise SpanError("duplicate %s label %r" % (sort, lab))
                 seen.add(lab)
         edge_index = {}
         for s, (label, a, b) in enumerate(edges):
+            _check_label(label)
             if label in edge_index:
                 raise SpanError("duplicate edge label %r" % (label,))
             edge_index[label] = s
@@ -144,8 +147,8 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
         raise SpanError("unknown vertex %r" % (name,))
 
 
-def _check_label(tok, lineno):
-    if not _LABEL.match(tok):
+def _check_label(tok, lineno=None):
+    if not (isinstance(tok, str) and _LABEL.match(tok)):
         raise SpanError("bad label %r" % (tok,), lineno)
 
 

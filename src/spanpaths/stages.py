@@ -294,8 +294,8 @@ def stage_word_bijection(stages, n):
             failures.append("%s: class labelling is not injective" % (label,))
         onto = id_set == expected_set
         if not onto:
-            missing = [tree.word(x) for x in expected if x not in id_set]
-            extra = [tree.word(x) for x in ids if x not in expected_set]
+            missing = [tree.text(x) for x in expected if x not in id_set]
+            extra = [tree.text(x) for x in ids if x not in expected_set]
             failures.append(
                 "%s: classes and words differ (missing %r, extra %r)"
                 % (label, missing, extra)
@@ -323,9 +323,9 @@ def stage_word_bijection(stages, n):
             try:
                 ids = cogap_set(class_of, len(left), blocks, values)
             except ValueError:
-                # decoding is injective: the words fail the same way, in a message naming them
+                # rendering is injective: the texts fail the same way, in a message naming them
                 try:
-                    cogap_set(class_of, len(left), blocks, [tree.word(x) for x in values])
+                    cogap_set(class_of, len(left), blocks, [tree.text(x) for x in values])
                 except ValueError as exc:
                     failures.append(
                         "stage %d %s fiber %s: %s" % (k, vtx.side, span.vertex_label(vtx), exc)

@@ -1,19 +1,20 @@
 """Alternating crossing words based at the span's basepoint.
 
-A word records a walk in the realized graph starting at the basepoint: a
-forward step crosses an edge from its A end to its B end, a backward step
-crosses it the other way. Words are plain tuples of Step; the empty tuple is
-the constant word at the basepoint, written ``refl``. Directions necessarily
-alternate (the graph is bipartite) and a word's endpoint side is determined
-by its length parity: even lands on the A side, odd on the B side.
+A word records a walk in the realized graph starting at the basepoint, as
+the plain tuple of the edge indices it crosses; the empty tuple is the
+constant word at the basepoint, written ``refl``. The graph is bipartite, so
+a step's position fixes which way it crosses: step i crosses its edge from
+the A end to the B end (forward) when i is even, and back when i is odd. A
+word's endpoint side is its length parity: even lands on the A side, odd on
+the B side.
 
 A word is *reduced* when no step immediately undoes the previous one, i.e.
 adjacent steps never cross the same edge. Reduced words are the normal forms
 for based paths in the realized graph, and they are what the staged pushout
 construction's colimit classes are matched against. Consumers that walk many
 words use a WordTree, which stores the reduced words within a bound as
-integer nodes in canonical order; tuple words are what parse, format and
-reports use. ``count_words`` counts them per last edge, building none: the
+integer nodes in canonical order; edge tuples are what parse, reduce and
+format use. ``count_words`` counts them per last edge, building none: the
 words whose next step crosses edge s are those at s's near end less those
 whose last step was s. The random-span screen and words.window-monotone read it.
 
@@ -26,17 +27,8 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from operator import add
-from typing import NamedTuple
 
 from .span import Vertex
-
-FWD = 0
-BWD = 1
-
-
-class Step(NamedTuple):
-    direction: int  # FWD or BWD
-    edge: int
 
 
 class WordError(ValueError):
@@ -44,19 +36,17 @@ class WordError(ValueError):
 
 
 def validate_word(span, word):
-    """Check alternation, basepoint anchoring and endpoint matching.
+    """Check edge ranges, basepoint anchoring and endpoint matching.
 
     Reducedness is not required; this is the precondition shared by reduce
     and the parser. Raises WordError pointing at the first bad step.
     """
     at = span.basepoint  # index of the current vertex; its side alternates from A
-    for i, step in enumerate(word):
+    for i, s in enumerate(word):
         forward = i % 2 == 0
-        if step.direction != (FWD if forward else BWD):
-            raise WordError("step %d: directions must alternate starting forward" % (i,))
-        if not 0 <= step.edge < len(span.edges):
-            raise WordError("step %d: edge index %d out of range" % (i, step.edge))
-        label, a, b = span.edges[step.edge]
+        if not 0 <= s < len(span.edges):
+            raise WordError("step %d: edge index %d out of range" % (i, s))
+        label, a, b = span.edges[s]
         if (a if forward else b) != at:
             raise WordError(
                 "step %d: edge %r does not %s at %s"
@@ -68,27 +58,26 @@ def validate_word(span, word):
 
 def is_reduced(word):
     """True when no two adjacent steps cross the same edge."""
-    return all(word[i].edge != word[i + 1].edge for i in range(len(word) - 1))
+    return all(s != t for s, t in zip(word, word[1:]))
 
 
 def word_endpoint(span, word):
     """Far endpoint of the word: the basepoint for refl, else the last step's target."""
     if not word:
         return span.base_vertex
-    last = word[-1]
-    if last.direction == FWD:
-        return Vertex("B", span.b_end(last.edge))
-    return Vertex("A", span.a_end(last.edge))
+    if len(word) % 2:  # the last step was forward
+        return Vertex("B", span.b_end(word[-1]))
+    return Vertex("A", span.a_end(word[-1]))
 
 
 def _cancel_pairs(word):
-    # delete adjacent inverse pairs left to right with a stack
+    # delete adjacent inverse pairs (one edge crossed twice) left to right with a stack
     out = []
-    for step in word:
-        if out and out[-1].edge == step.edge and out[-1].direction != step.direction:
+    for s in word:
+        if out and out[-1] == s:
             out.pop()
         else:
-            out.append(step)
+            out.append(s)
     return tuple(out)
 
 
@@ -97,7 +86,7 @@ def _cancel_rightmost(word):
     steps = list(word)
     while True:
         for i in range(len(steps) - 2, -1, -1):
-            if steps[i].edge == steps[i + 1].edge and steps[i].direction != steps[i + 1].direction:
+            if steps[i] == steps[i + 1]:
                 del steps[i : i + 2]
                 break
         else:
@@ -110,7 +99,7 @@ def reduce_word(span, word):
 
     Deletes adjacent inverse pairs until none remain; the result is the
     unique reduced word with the same endpoint. Raises WordError on words
-    violating alternation or endpoint matching.
+    with an edge out of range or a step off the previous step's endpoint.
     """
     validate_word(span, word)
     return _cancel_pairs(word)
@@ -151,8 +140,7 @@ class WordTree:
         self.end = end = [span.base_vertex]
         self.depth = depth = [0]
         self.across = across = [[None] for _ in range(ne)]
-        self._steps = [[Step(d, s) for s in range(ne)] for d in (BWD, FWD)]  # by depth parity
-        self._tokens = [[format_word(span, (step,)) for step in row] for row in self._steps]
+        self._tokens = [[c + label for label, _a, _b in span.edges] for c in "<>"]  # by depth parity
         start = 0
         for d in range(1, bound + 1):
             stop = len(parent)
@@ -198,22 +186,18 @@ class WordTree:
         ids = self.at[vertex]
         return ids[: bisect_left(ids, self.size(bound))]
 
-    def _path(self, node, tables):
-        parent, depth, last = self.parent, self.depth, self.last_edge
+    def word(self, node):
+        """Decode a node id to its tuple word: the last edges up the parent chain."""
+        parent, last = self.parent, self.last_edge
         out = []
         while node > 0:
-            out.append(tables[depth[node] % 2][last[node]])
+            out.append(last[node])
             node = parent[node]
-        out.reverse()
-        return out
-
-    def word(self, node):
-        """Decode a node id to its tuple word."""
-        return tuple(self._path(node, self._steps))
+        return tuple(reversed(out))
 
     def text(self, node):
-        """Render a node in the text syntax: ``format_word(span, self.word(node))``."""
-        return " ".join(self._path(node, self._tokens)) or format_word(self.span, ())
+        """Render a node in the text syntax."""
+        return format_word(self.span, self.word(node))
 
     def texts(self):
         """Every node's text, as a list indexed by node id: ``texts()[x] == text(x)``.
@@ -298,9 +282,10 @@ def count_words(span, max_len):
 
 
 def parse_word(span, text):
-    """Parse word syntax (``refl`` or e.g. ``>s <t >s``) into a step tuple.
+    """Parse word syntax (``refl`` or e.g. ``>s <t >s``) into an edge tuple.
 
-    Accepts unreduced words; alternation and endpoint matching are enforced.
+    Accepts unreduced words; alternation (stated only in the text, so checked
+    here) and endpoint matching are enforced.
     """
     tokens = text.split()
     if not tokens:
@@ -315,9 +300,12 @@ def parse_word(span, text):
         s = span.edge_index(label)
         if s is None:
             raise WordError("unknown edge label %r" % (label,))
-        steps.append(Step(FWD if tok[0] == ">" else BWD, s))
+        steps.append(s)
     word = tuple(steps)
-    validate_word(span, word)
+    wrong = [i for i, tok in enumerate(tokens) if (tok[0] == ">") != (i % 2 == 0)]
+    validate_word(span, word[: wrong[0]] if wrong else word)  # an earlier bad step comes first
+    if wrong:
+        raise WordError("step %d: directions must alternate starting forward" % (wrong[0],))
     return word
 
 
@@ -325,4 +313,4 @@ def format_word(span, word):
     """Render a word in the text syntax; inverse of parse_word."""
     if not word:
         return "refl"
-    return " ".join([(">" if d == FWD else "<") + span.edges[s][0] for d, s in word])
+    return " ".join(["><"[i % 2] + span.edges[s][0] for i, s in enumerate(word)])

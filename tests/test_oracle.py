@@ -1,10 +1,11 @@
 import ast
+import inspect
 import random
 import re
 
 import pytest
 
-from spanpaths import checks, oracle
+from spanpaths import checks, oracle, stages
 from spanpaths.oracle import Walk, compare_words_walks, nbt_walks, pi1_rank
 from spanpaths.span import Vertex, parse_span, realize
 
@@ -154,3 +155,45 @@ def test_random_span_failure_carries_the_span_text(monkeypatch):
     rng = random.Random(5)
     drawn = [checks.random_span(rng) for _ in range(3)]
     assert parse_span(ast.literal_eval(match.group(1))) == drawn[1] == calls[1]
+
+
+def sibling_imports(module):
+    """(module, name, bound name) per name a spanpaths module imports from another.
+
+    ``name`` is None when the import binds the sibling module itself.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            package = "." * node.level + (node.module or "")
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if package in (".", "spanpaths"):
+                    found.add((alias.name, None, bound))
+                elif package.startswith((".", "spanpaths.")):
+                    found.add((package.split(".")[-1], alias.name, bound))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("spanpaths."):
+                    found.add((alias.name.split(".")[-1], None, alias.asname or alias.name))
+    return found
+
+
+def test_the_oracle_and_the_pushouts_stay_independent_of_the_word_model():
+    # the walks and the stage pushouts are what the words are checked against:
+    # the oracle takes only the words it compares, the pushouts read no word
+    from_oracle = sibling_imports(oracle)
+    assert {(m, n) for m, n, _ in from_oracle if m == "words"} == {("words", "all_reduced_words")}
+    assert not {m for m, _, _ in from_oracle} & {"stages", "idsys", "seqcolim", "checks"}
+    from_stages = sibling_imports(stages)
+    word_names = {bound for m, _, bound in from_stages if m == "words"}
+    functions = {
+        node.name: node
+        for node in ast.parse(inspect.getsource(stages)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("build_stages", "_glue_side", "pushout_pi0", "_offsets"):
+        named = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert not named & word_names, name
+    for imports in (from_oracle, from_stages):
+        assert "count_words" not in {n for _, n, _ in imports}

@@ -161,10 +161,20 @@ def test_lookup_vertex():
 
 
 def test_constructor_validates_directly():
-    with pytest.raises(SpanError, match="out of range"):
-        FiniteSpan(("a",), ("b",), (("s", 0, 1),), 0)
-    with pytest.raises(SpanError, match="basepoint"):
-        FiniteSpan(("a",), ("b",), (), 3)
+    cases = [
+        ((("a",), ("b",), (("s", 0, 1),), 0), "out of range"),
+        ((("a",), ("b",), (), 3), "basepoint"),
+        # labels a span file cannot carry: serialize_span would write text
+        # that parse_span rejects
+        ((("a b",), ("b",), (), 0), "bad label 'a b'"),
+        ((("a",), ("b-1",), (), 0), "bad label 'b-1'"),
+        ((("a",), ("b",), (("s t", 0, 0), ("u", 0, 0)), 0), "bad label 's t'"),
+        ((("",), ("b",), (), 0), "bad label ''"),
+        (((1,), ("b",), (), 0), "bad label 1"),
+    ]
+    for fields, message in cases:
+        with pytest.raises(SpanError, match=message):
+            FiniteSpan(*fields)
 
 
 def _validating_records():

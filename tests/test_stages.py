@@ -269,7 +269,7 @@ def test_stage_word_bijection_reports_structured_counterexample(circle):
     assert not report.ok
     assert report.failures == [
         "stage 2 A fiber a: inconsistent cocone at inl cell 0, block 0: "
-        "() != (Step(direction=0, edge=1), Step(direction=1, edge=0))"
+        "'refl' != '>t <s'"
     ]
 
 
@@ -367,8 +367,16 @@ def test_fold_rejects_inconsistent_cocone(theta):
     assert not report.ok
     assert report.failures == [
         "stage 2 B fiber b: inconsistent cocone at inl cell 0, block 0: "
-        "(Step(direction=0, edge=0),) != (Step(direction=0, edge=1),)"
+        "'>s' != '>t'"
     ]
+
+
+def test_fold_names_missing_words_in_text_syntax(circle, monkeypatch):
+    # a fold that drops a fiber's last class leaves that class's word unmatched
+    cogap = stages_module.cogap_set
+    monkeypatch.setattr(stages_module, "cogap_set", lambda *args: cogap(*args)[:-1])
+    report = stage_word_bijection(build_stages(circle, 1), 1)
+    assert report.failures[0] == "stage 1 B fiber b: classes and words differ (missing ['>t'], extra [])"
 
 
 def test_stage_word_bijection_past_the_built_stages(theta):

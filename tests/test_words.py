@@ -9,9 +9,6 @@ from spanpaths import checks, oracle, stages
 from spanpaths.oracle import nbt_walks
 from spanpaths.span import FiniteSpan, Vertex, realize, serialize_span
 from spanpaths.words import (
-    BWD,
-    FWD,
-    Step,
     WordError,
     WordTree,
     all_reduced_words,
@@ -24,54 +21,44 @@ from spanpaths.words import (
     reduce_word_rightmost,
     validate_word,
     word_endpoint,
+    word_tree,
 )
 from spanpaths.checks import random_unreduced_word
 
 S, T = 0, 1
 
 
-def w(*steps):
-    return tuple(Step(d, e) for d, e in steps)
-
-
 def test_reduce_single_cancellation(circle):
-    assert reduce_word(circle, w((FWD, S), (BWD, S))) == ()
+    assert reduce_word(circle, (S, S)) == ()
 
 
 def test_reduce_nested_cancellation(circle):
-    word = w((FWD, S), (BWD, T), (FWD, T), (BWD, S))
+    word = (S, T, T, S)
     assert reduce_word(circle, word) == ()
 
 
 def test_reduce_leaves_reduced_words_alone(circle):
-    word = w((FWD, S), (BWD, T), (FWD, S))
+    word = (S, T, S)
     assert reduce_word(circle, word) == word
-
-
-def test_reduce_rejects_malformed(circle):
-    with pytest.raises(WordError, match="alternate"):
-        reduce_word(circle, w((FWD, S), (FWD, T)))
-    with pytest.raises(WordError, match="alternate"):
-        reduce_word(circle, w((BWD, S)))
 
 
 @pytest.mark.parametrize("edge", ["past the last", "negative"])
 def test_reduce_rejects_an_out_of_range_edge(circle, edge):
     index = len(circle.edges) if edge == "past the last" else -1
     with pytest.raises(WordError, match="edge index %d out of range" % index):
-        reduce_word(circle, w((FWD, index)))
+        reduce_word(circle, (index,))
 
 
 def test_reduce_rejects_endpoint_mismatch(tree4):
     # s2 lands on b2 but s3 starts from b1
     with pytest.raises(WordError, match="does not end at"):
-        reduce_word(tree4, w((FWD, 1), (BWD, 2)))
+        reduce_word(tree4, (1, 2))
 
 
 def test_endpoint_examples(circle):
     assert word_endpoint(circle, ()) == Vertex("A", 0)
-    assert word_endpoint(circle, w((FWD, S))) == Vertex("B", 0)
-    assert word_endpoint(circle, w((FWD, S), (BWD, T))) == Vertex("A", 0)
+    assert word_endpoint(circle, (S,)) == Vertex("B", 0)
+    assert word_endpoint(circle, (S, T)) == Vertex("A", 0)
 
 
 def crossing(span, word, s):
@@ -81,22 +68,22 @@ def crossing(span, word, s):
 
 
 def test_concat_fwd_examples(circle):
-    assert crossing(circle, (), S) == w((FWD, S))
-    assert crossing(circle, w((FWD, S), (BWD, T)), T) == w((FWD, S))
-    assert crossing(circle, w((FWD, S), (BWD, T)), S) == w((FWD, S), (BWD, T), (FWD, S))
+    assert crossing(circle, (), S) == (S,)
+    assert crossing(circle, (S, T), T) == (S,)
+    assert crossing(circle, (S, T), S) == (S, T, S)
 
 
 def test_concat_bwd_examples(circle, interval):
-    assert crossing(circle, w((FWD, S)), S) == ()
-    assert crossing(circle, w((FWD, S)), T) == w((FWD, S), (BWD, T))
-    assert crossing(interval, w((FWD, S)), S) == ()
+    assert crossing(circle, (S,), S) == ()
+    assert crossing(circle, (S,), T) == (S, T)
+    assert crossing(interval, (S,), S) == ()
 
 
 def test_step_off_the_endpoint_has_no_node(tree4):
     tree = WordTree(tree4, 3)
     assert tree.step(0, 2) is None  # s3 does not start at the basepoint a1
     at_b1 = tree.step(0, 0)
-    assert tree.word(at_b1) == w((FWD, 0))
+    assert tree.word(at_b1) == (0,)
     assert tree.step(at_b1, 1) is None  # s2 does not end at b1
 
 
@@ -113,7 +100,7 @@ def test_enumerate_circle(circle):
 
 def test_enumerate_interval(interval):
     assert enumerate_words(interval, Vertex("A", 0), 10) == [()]
-    assert enumerate_words(interval, Vertex("B", 0), 10) == [w((FWD, S))]
+    assert enumerate_words(interval, Vertex("B", 0), 10) == [(S,)]
 
 
 def test_enumerate_theta(theta):
@@ -157,6 +144,17 @@ def test_parity(corpus):
             assert side == ("A" if len(word) % 2 == 0 else "B")
 
 
+def test_parity_check_catches_a_tree_endpoint_on_the_wrong_side(theta):
+    # words.parity holds word_endpoint to the tree's endpoints; the count
+    # check, which buckets the tree's endpoints, fails on the flip as well
+    tree = word_tree(theta, 8)  # held, so word_suite reads this tree
+    assert all(r.ok for r in checks.word_suite(theta))
+    v = tree.end[5]
+    tree.end[5] = Vertex("B" if v.side == "A" else "A", v.index)
+    failed = [r.name for r in checks.word_suite(theta) if not r.ok]
+    assert failed == ["words.parity", "words.window-monotone"]
+
+
 def test_confluence_on_random_words(corpus):
     rng = random.Random(11)
     for span in corpus.values():
@@ -181,7 +179,7 @@ def test_reduce_confluence_check_catches_a_collapsing_reducer(circle, monkeypatc
 
 
 def reference_unreduced_word(span, rng, max_len=12):
-    # the sampler without a move table: one Vertex and one Step per step
+    # the sampler without the realized graph: one Vertex per step
     word = []
     at = span.base_vertex
     for _ in range(rng.randint(0, max_len)):
@@ -189,11 +187,10 @@ def reference_unreduced_word(span, rng, max_len=12):
         if not options:
             break
         s = rng.choice(options)
+        word.append(s)
         if at.side == "A":
-            word.append(Step(FWD, s))
             at = Vertex("B", span.b_end(s))
         else:
-            word.append(Step(BWD, s))
             at = Vertex("A", span.a_end(s))
     return tuple(word)
 
@@ -345,7 +342,7 @@ def test_parse_format_roundtrip(circle):
 
 
 def test_parse_accepts_unreduced(circle):
-    assert parse_word(circle, ">s <s") == w((FWD, S), (BWD, S))
+    assert parse_word(circle, ">s <s") == (S, S)
 
 
 @pytest.mark.parametrize(
@@ -376,10 +373,7 @@ def test_tree_matches_the_oracle_walks_on_random_spans():
         every_walk = nbt_walks(realize(span), span.base_vertex, 6)
         for v in span.vertices():
             walks = [walk for walk in every_walk if walk.vertices[-1] == v]
-            decoded = [tree.word(x) for x in tree.at[v]]
-            assert [tuple(step.edge for step in word) for word in decoded] == [
-                walk.edges for walk in walks
-            ]
+            assert [tree.word(x) for x in tree.at[v]] == [walk.edges for walk in walks]
             assert [tree.depth[x] for x in tree.at[v]] == [len(walk.edges) for walk in walks]
 
 
