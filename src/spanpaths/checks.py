@@ -64,25 +64,43 @@ def _result(name, failures, detail_ok=""):
 # words.reduce-confluence checks SAMPLES random walks of up to SAMPLE_LEN steps
 SAMPLES = 1000
 SAMPLE_LEN = 12
+_LEN_BITS = (SAMPLE_LEN + 1).bit_length()  # the width of randint(0, SAMPLE_LEN)'s draws
 
 
-def _random_walk(incidence, start, rng):
-    # the edges of a random walk from start, and where it stops
+def _moves(graph):
+    # per vertex: its (edge, far end) options, their count and the draw's bit width
+    return {v: (opts, len(opts), len(opts).bit_length()) for v, opts in graph.incidence.items()}
+
+
+def _random_walk(moves, start, rng):
+    # the edges of a random walk from start, and where it stops. The draws are
+    # rng.randint(0, SAMPLE_LEN) for the length, then rng.choice(options) per
+    # step: on CPython 3.10-3.13 both are _randbelow(n), which draws
+    # getrandbits(n.bit_length()) until the value is below n, so a single
+    # option still spends its 1-bit draw and a vertex with none stops the walk
+    # without drawing. test_sampler_draws_are_the_reference_draws, which draws
+    # through randint and choice, fails if a CPython changes _randbelow.
+    bits = rng.getrandbits
+    steps = bits(_LEN_BITS)
+    while steps > SAMPLE_LEN:
+        steps = bits(_LEN_BITS)
     word = []
     at = start
-    choice = rng.choice
-    for _ in range(rng.randint(0, SAMPLE_LEN)):
-        options = incidence[at]
-        if not options:
+    for _ in range(steps):
+        options, n, k = moves[at]
+        if not n:
             break
-        s, at = choice(options)
+        i = bits(k)
+        while i >= n:
+            i = bits(k)
+        s, at = options[i]
         word.append(s)
     return tuple(word), at
 
 
 def random_unreduced_word(span, rng):
     """A structurally valid, possibly backtracking word from the basepoint."""
-    return _random_walk(realize(span).incidence, span.base_vertex, rng)[0]
+    return _random_walk(_moves(realize(span)), span.base_vertex, rng)[0]
 
 
 def word_suite(span, max_len=8, seed=0):
@@ -131,10 +149,11 @@ def word_suite(span, max_len=8, seed=0):
     # words.parity test different code
     failures = []
     graph = realize(span)
+    moves = _moves(graph)
     base = span.base_vertex
     seen = set()
     for _ in range(SAMPLES):
-        raw, end = _random_walk(graph.incidence, base, rng)
+        raw, end = _random_walk(moves, base, rng)
         if raw in seen:
             continue
         seen.add(raw)

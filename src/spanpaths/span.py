@@ -72,17 +72,17 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
                     raise SpanError("duplicate %s label %r" % (sort, lab))
                 seen.add(lab)
         edge_index = {}
-        for s, (label, a, b) in enumerate(edges):
+        for s, edge in enumerate(edges):
+            if not (isinstance(edge, tuple) and len(edge) == 3):
+                raise SpanError("edge %d: %r is not a (label, A index, B index) triple" % (s, edge))
+            label, a, b = edge
             _check_label(label)
             if label in edge_index:
                 raise SpanError("duplicate edge label %r" % (label,))
             edge_index[label] = s
-            if not 0 <= a < len(a_vertices):
-                raise SpanError("edge %r: A endpoint index %d out of range" % (label, a))
-            if not 0 <= b < len(b_vertices):
-                raise SpanError("edge %r: B endpoint index %d out of range" % (label, b))
-        if not 0 <= basepoint < len(a_vertices):
-            raise SpanError("basepoint index %d out of range" % (basepoint,))
+            _check_index("edge %r: A endpoint" % (label,), a, len(a_vertices))
+            _check_index("edge %r: B endpoint" % (label,), b, len(b_vertices))
+        _check_index("basepoint", basepoint, len(a_vertices))
         incidence = {v: [] for v in self.vertices()}
         for s, (_label, a, b) in enumerate(edges):
             incidence[Vertex("A", a)].append(s)
@@ -150,6 +150,13 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
 def _check_label(tok, lineno=None):
     if not (isinstance(tok, str) and _LABEL.match(tok)):
         raise SpanError("bad label %r" % (tok,), lineno)
+
+
+def _check_index(what, i, size):
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise SpanError("%s index %r is not an int" % (what, i))
+    if not 0 <= i < size:
+        raise SpanError("%s index %d out of range" % (what, i))
 
 
 def parse_span(text):

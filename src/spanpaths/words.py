@@ -245,7 +245,15 @@ def all_reduced_words(span, max_len):
     declaration order). A negative bound yields the empty list.
     """
     tree = word_tree(span, max_len)
-    return [tree.word(x) for x in range(tree.size(max_len))]
+    parent, last = tree.parent, tree.last_edge
+    steps = [(s,) for s in range(len(span.edges))]
+    words = [()][: tree.size(max_len)]
+    start = 1
+    for d in range(1, min(max_len, tree.depth[-1]) + 1):  # level by level, as in texts()
+        stop = tree.size(d)
+        words += map(add, map(words.__getitem__, parent[start:stop]), map(steps.__getitem__, last[start:stop]))
+        start = stop
+    return words
 
 
 def enumerate_words(span, endpoint, max_len):

@@ -171,6 +171,14 @@ def test_constructor_validates_directly():
         ((("a",), ("b",), (("s t", 0, 0), ("u", 0, 0)), 0), "bad label 's t'"),
         ((("",), ("b",), (), 0), "bad label ''"),
         (((1,), ("b",), (), 0), "bad label 1"),
+        # edges are (label, A index, B index) triples, and indices are ints
+        ((("a",), ("b",), (("s", 0, 0, 9),), 0), r"edge 0: .* is not a \(label, A index, B index\) triple"),
+        ((("a",), ("b",), (("s", 0),), 0), "edge 0: .* triple"),
+        ((("a",), ("b",), ("s",), 0), "edge 0: 's' is not a"),
+        ((("a",), ("b",), (), "0"), "basepoint index '0' is not an int"),
+        ((("a",), ("b",), (), False), "basepoint index False is not an int"),
+        ((("a",), ("b",), (("s", 0.0, 0),), 0), "edge 's': A endpoint index 0.0 is not an int"),
+        ((("a",), ("b",), (("s", 0, True),), 0), "edge 's': B endpoint index True is not an int"),
     ]
     for fields, message in cases:
         with pytest.raises(SpanError, match=message):

@@ -196,9 +196,11 @@ def reference_unreduced_word(span, rng, max_len=12):
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_sampler_draws_are_the_reference_draws(corpus, seed):
+def test_sampler_draws_are_the_reference_draws(corpus, span_of, seed):
     draw = random.Random(3)
     spans = list(corpus.values()) + [checks.random_span(draw) for _ in range(3)]
+    # 17 loops at one vertex of each side: 5-bit draws, 15 of the 32 values rejected
+    spans.append(span_of(1, 1, [(0, 0)] * 17))
     for span in spans:
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(1000):
