@@ -8,8 +8,8 @@ text lines; ``run`` alone loads the span, prints, and reports errors.
 
 Exit codes: 0 success, 1 a check reported failures, 2 a usage error or a bad
 input (a missing, non-UTF-8 or malformed span file, an unknown vertex, a bad
-word, a stdout its reader closed), reported on stderr as one ``error:`` line
-and never as a traceback.
+word, a value a library call refuses, a stdout its reader closed), reported on
+stderr as one ``error:`` line and never as a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import checks
 from .seqcolim import direct_limit
 from .span import SpanError, parse_span, realize, component_of
 from .stages import build_stages, cycle_diagnostic, stage_diagram, stage_word_bijection
-from .words import WordError, enumerate_words, format_word, parse_word, reduce_word
+from .words import enumerate_words, format_word, parse_word, reduce_word
 from .oracle import pi1_rank
 
 
@@ -45,7 +45,6 @@ def _load_span(path):
 # ensure_ascii leaves no raw newline inside a string, a column's text splits
 # on that separator into one text per value.
 _ENCODER = json.JSONEncoder()
-_CONTAINERS = (dict, list, tuple)
 _SCALARS = {str, int, float, bool, type(None)}
 
 
@@ -83,20 +82,18 @@ def _texts(values, nl):
     """Each of ``values``' texts, with its lines indented to follow ``nl``.
 
     Scalars take one encoder call. Dicts sharing one key set are one column
-    per key, stitched back with one template per row. Other containers recurse.
+    per key, stitched back with one template per row. Anything else is
+    encoded value by value.
     """
     sep = "," + nl
     if _SCALARS.issuperset(map(type, values)):
         return _encoder(sep)(values)[1:-1].split(sep)
-    table = isinstance(values[0], dict) and _columns(values)
+    table = _columns(values)
     if table:
         keys, columns = table
         texts = [_texts(column, nl + "  ") for column in columns]
         return list(map(_template(keys, nl).__mod__, zip(*texts)))
-    nested = [isinstance(v, _CONTAINERS) for v in values]
-    scalars = [v for v, n in zip(values, nested) if not n]
-    texts = iter(_encoder(sep)(scalars)[1:-1].split(sep) if scalars else ())
-    return [_text(v, nl) if n else next(texts) for v, n in zip(values, nested)]
+    return [_text(v, nl) for v in values]
 
 
 def _text(value, nl):
@@ -111,12 +108,6 @@ def _text(value, nl):
         return _ENCODER.encode(value)
     if not value:
         return "[]"
-    if not isinstance(value[0], _CONTAINERS):
-        # the common case, a list of scalars, skips the split; a bracket in
-        # its text may be a nested container, so it then takes the long way
-        body = _encoder("," + inner)(value)[1:-1]
-        if "[" not in body and "{" not in body:
-            return "[" + inner + body + nl + "]"
     return "[" + inner + ("," + inner).join(_texts(value, inner)) + nl + "]"
 
 
@@ -273,6 +264,9 @@ def _int_at_least(minimum):
     return parse
 
 
+# one parser per process; it holds the _cmd_* functions themselves, so a test
+# patches the module names they read, never the functions
+@lru_cache(maxsize=None)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spanpaths",
@@ -325,7 +319,7 @@ def run(argv=None):
         for line in [dumps(payload)] if args.json else lines:
             print(line)
         return code
-    except (SpanError, WordError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # SpanError and WordError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

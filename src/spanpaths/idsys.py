@@ -31,6 +31,7 @@ object is shared by all of them; validation checks each shared pair once.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .span import record
@@ -262,22 +263,12 @@ def uniqueness_check(fam, q0, sec):
     return UniquenessReport(len(reference), None)
 
 
-class EncodeDecodeReport:
+class EncodeDecodeReport(SimpleNamespace):
     """Counts and mismatches of encode_decode's identity and naturality checks.
 
     A plain object, not a tuple: perfbench/run.py reads any tuple a call
     returns as CLI ``(code, stdout)`` output.
     """
-
-    __slots__ = ("identity_checked", "identity_mismatches", "naturality_checked",
-                 "naturality_mismatches")
-
-    def __init__(self, identity_checked, identity_mismatches, naturality_checked,
-                 naturality_mismatches):
-        self.identity_checked = identity_checked
-        self.identity_mismatches = identity_mismatches
-        self.naturality_checked = naturality_checked
-        self.naturality_mismatches = naturality_mismatches
 
     @property
     def ok(self):
@@ -329,4 +320,5 @@ def encode_decode(span, bound):
                 "fold does not commute with crossing %s at %s"
                 % (span.edge_label(s), tree.text(a))
             )
-    return EncodeDecodeReport(safe, identity_mismatches, nat_checked, nat_mismatches)
+    return EncodeDecodeReport(identity_checked=safe, identity_mismatches=identity_mismatches,
+                              naturality_checked=nat_checked, naturality_mismatches=nat_mismatches)

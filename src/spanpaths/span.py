@@ -129,22 +129,15 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
         An ``A:`` or ``B:`` prefix forces the side; otherwise the label must
         occur in exactly one sort.
         """
-        side = None
+        prefix, sides = "", "AB"
         if name[:2] in ("A:", "B:"):
-            side, name = name[0], name[2:]
-        a_hit = name in self.a_vertices
-        b_hit = name in self.b_vertices
-        if side == "A" or (side is None and a_hit and not b_hit):
-            if not a_hit:
-                raise SpanError("unknown A vertex %r" % (name,))
-            return Vertex("A", self.a_vertices.index(name))
-        if side == "B" or (side is None and b_hit and not a_hit):
-            if not b_hit:
-                raise SpanError("unknown B vertex %r" % (name,))
-            return Vertex("B", self.b_vertices.index(name))
-        if a_hit and b_hit:
+            prefix, sides, name = name[0] + " ", name[0], name[2:]
+        hits = [v for v in self.vertices() if v.side in sides and self.vertex_label(v) == name]
+        if len(hits) == 1:
+            return hits[0]
+        if hits:
             raise SpanError("ambiguous vertex %r (use A:%s or B:%s)" % (name, name, name))
-        raise SpanError("unknown vertex %r" % (name,))
+        raise SpanError("unknown %svertex %r" % (prefix, name))
 
 
 def _check_label(tok, lineno=None):

@@ -140,7 +140,6 @@ class WordTree:
         self.end = end = [span.base_vertex]
         self.depth = depth = [0]
         self.across = across = [[None] for _ in range(ne)]
-        self._tokens = [[c + label for label, _a, _b in span.edges] for c in "<>"]  # by depth parity
         start = 0
         for d in range(1, bound + 1):
             stop = len(parent)
@@ -199,24 +198,30 @@ class WordTree:
         """Render a node in the text syntax."""
         return format_word(self.span, self.word(node))
 
+    def _decode(self, refl, tokens, bound):
+        """Every node of depth <= ``bound`` decoded, as a list indexed by node id.
+
+        A node decodes to its parent's decoding plus ``tokens(d)[s]``, s its
+        last edge and d its depth, and refl to ``refl``: one ``map(add, ...)``
+        per level over its slices of ``parent`` and ``last_edge``.
+        """
+        parent, last = self.parent, self.last_edge
+        out = [refl][: self.size(bound)]
+        for d in range(1, min(bound, self.depth[-1]) + 1):
+            level = slice(self.size(d - 1), self.size(d))
+            out += map(add, map(out.__getitem__, parent[level]), map(tokens(d).__getitem__, last[level]))
+        return out
+
     def texts(self):
         """Every node's text, as a list indexed by node id: ``texts()[x] == text(x)``.
 
-        Built level by level: a node's text is its parent's text and its last
-        step's token, so one level is one ``map(add, ...)`` over its slices
-        of ``parent`` and ``last_edge``. This beats ``text`` once a caller
-        renders more than a small share of the tree.
+        Decoded level by level, this beats ``text`` once a caller renders
+        more than a small share of the tree.
         """
-        parent, last = self.parent, self.last_edge
-        spaced = [[" " + token for token in row] for row in self._tokens]
-        out = [""]  # refl's text is "refl" only on its own; as a prefix it is empty
-        start = 1
-        for d in range(1, self.depth[-1] + 1):
-            stop = self.size(d)
-            tokens = (self._tokens if d == 1 else spaced)[d % 2]
-            out += map(add, map(out.__getitem__, parent[start:stop]), map(tokens.__getitem__, last[start:stop]))
-            start = stop
-        out[0] = format_word(self.span, ())
+        plain = [[c + label for label, _a, _b in self.span.edges] for c in "<>"]  # by depth parity
+        spaced = [[" " + token for token in row] for row in plain]
+        out = self._decode("", lambda d: (plain if d == 1 else spaced)[d % 2], self.depth[-1])
+        out[0] = format_word(self.span, ())  # refl's text is "refl" only on its own; as a prefix it is empty
         return out
 
 
@@ -244,16 +249,8 @@ def all_reduced_words(span, max_len):
     Canonical order is (length, lexicographic step sequence under edge
     declaration order). A negative bound yields the empty list.
     """
-    tree = word_tree(span, max_len)
-    parent, last = tree.parent, tree.last_edge
     steps = [(s,) for s in range(len(span.edges))]
-    words = [()][: tree.size(max_len)]
-    start = 1
-    for d in range(1, min(max_len, tree.depth[-1]) + 1):  # level by level, as in texts()
-        stop = tree.size(d)
-        words += map(add, map(words.__getitem__, parent[start:stop]), map(steps.__getitem__, last[start:stop]))
-        start = stop
-    return words
+    return word_tree(span, max_len)._decode((), lambda d: steps, max_len)
 
 
 def enumerate_words(span, endpoint, max_len):

@@ -449,6 +449,21 @@ def test_every_bad_input_exits_two_with_one_error_line(capsys, tmp_path, command
     assert "Traceback" not in err
 
 
+def test_library_value_error_exits_two_with_its_message(capsys, monkeypatch):
+    def refuse(span, n_max):
+        raise ValueError("n_max must be nonnegative")
+
+    monkeypatch.setattr(cli, "build_stages", refuse)
+    code, out, err = run(capsys, ["stages", CIRCLE])
+    assert (code, out, err) == (2, "", "error: n_max must be nonnegative\n")
+
+
+def test_run_reuses_one_parser(capsys):
+    run(capsys, ["info", CIRCLE])
+    run(capsys, ["reduce", CIRCLE, "--word", "refl"])
+    assert cli.build_parser() is cli.build_parser()
+
+
 def spanpaths(*argv):
     """Start ``python -m spanpaths`` on ``argv`` with piped text stdout and stderr."""
     env = dict(os.environ, PYTHONPATH=str(SPAN_DIR.parent / "src"))

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -154,10 +155,16 @@ def test_lookup_vertex():
     assert span.lookup_vertex("y") == Vertex("B", 0)
     assert span.lookup_vertex("A:shared") == Vertex("A", 1)
     assert span.lookup_vertex("B:shared") == Vertex("B", 1)
-    with pytest.raises(SpanError, match="ambiguous"):
-        span.lookup_vertex("shared")
-    with pytest.raises(SpanError, match="unknown"):
-        span.lookup_vertex("nope")
+    errors = {
+        "shared": "ambiguous vertex 'shared' (use A:shared or B:shared)",
+        "nope": "unknown vertex 'nope'",
+        "A:y": "unknown A vertex 'y'",
+        "B:x": "unknown B vertex 'x'",
+    }
+    for name, message in errors.items():
+        with pytest.raises(SpanError) as caught:
+            span.lookup_vertex(name)
+        assert str(caught.value) == message
 
 
 def test_constructor_validates_directly():
@@ -243,3 +250,17 @@ def test_importing_the_package_leaves_dataclasses_unimported():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "False\n"
+
+
+def test_library_imports_only_the_stdlib():
+    # the library runs on a bare interpreter: every absolute import is a stdlib module
+    src = Path(__file__).resolve().parent.parent / "src" / "spanpaths"
+    imported = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "argparse" in imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names

@@ -405,10 +405,13 @@ def test_tree_stops_where_a_finite_cover_stops_growing(corpus, name):
     small = WordTree(span, 8)
     start = time.perf_counter()
     big = WordTree(span, 10**7)
+    big_texts, big_words = big.texts(), all_reduced_words(span, 10**7)
     assert time.perf_counter() - start < 1.0
     assert (big.parent, big.last_edge, big.end, big.depth, big.at) == (
         small.parent, small.last_edge, small.end, small.depth, small.at
     )
+    assert big_texts == small.texts()
+    assert big_words == all_reduced_words(span, 8)
     for x in range(len(small.parent)):
         assert [big.step(x, s) for s in range(len(span.edges))] == [
             small.step(x, s) for s in range(len(span.edges))
