@@ -395,7 +395,7 @@ def idsys_suite(span, bound=6, seed=0):
     failures = []
     same = {0: 0, 1: 1}  # one dict for every link, so one pair is inverted and validated
     fam = idsys.build_family(span, bound, lambda v: (0, 1), lambda s, x: same)
-    q0 = fam.fibers[0][0]
+    q0 = fam.fibers[span.base_vertex][0]
     section = idsys.elim_section(fam, q0)
     # length <= bound - 1 keeps the flipped value inside check_computation's window
     tree = fam.tree

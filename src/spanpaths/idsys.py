@@ -1,11 +1,12 @@
 """Finite-set families over the word model and their elimination fold.
 
-A DescentFamily assigns a finite fiber to every reduced word within a length
-bound, and to every edge crossing a transition bijection between the fiber
-before and the fiber after the crossing. Folding a family from a single
-value at ``refl`` forces a section: the value at any reduced word is reached
-through its unique reduced predecessor (drop the last step), applying the
-transition forward for a forward step and its inverse for a backward step.
+A DescentFamily is descent data: a finite fiber over every vertex a reduced
+word within a length bound ends at, and for every edge crossing a
+transition bijection between the fiber before and the fiber after the
+crossing. Folding a family from a single value at ``refl`` forces a
+section: the value at any reduced word is reached through its unique
+reduced predecessor (drop the last step), applying the transition forward
+for a forward step and its inverse for a backward step.
 
 The module checks everything the fold promises, window-safely: the
 computation rules (including the cancellation cases, where a transition is
@@ -19,14 +20,15 @@ they are still required to be exact mutual inverses where defined.
 
 Words are the integer nodes of a words.WordTree, shared by every family over
 one span through words.word_tree. A crossing within the bound is one link of
-the tree, between a node x and its parent, so fibers and transitions are both
-lists by node id: ``transitions[x]`` is the pair of x's link, its forward
-dict running from the link's A-end node to its B-end node. Families are
-generated from ``crossing(s, x)``, which returns the forward dict of one
-whole transition from A-end node x. A family whose crossing does not depend
-on the node (trivial, parity, winding and the word family itself) returns
-the same dict for every link across an edge, so one ``(fwd, inv)`` pair
-object is shared by all of them; validation checks each shared pair once.
+the tree, between a node x and its parent, read from the tree's link columns
+(``tree.links``), so transitions are a list by node id: ``transitions[x]``
+is the pair of x's link, its forward dict running from the link's A-end node
+to its B-end node; fibers are a dict by vertex. Families are generated from
+``crossing(s, x)``, which returns the forward dict of one whole transition
+from A-end node x. A family whose crossing does not depend on the node
+(trivial, parity, winding and the word family itself) returns the same dict
+for every link across an edge, so one ``(fwd, inv)`` pair object is shared
+by all of them; validation checks each (pair, edge) once.
 """
 
 from __future__ import annotations
@@ -38,88 +40,79 @@ from .span import record
 from .words import word_tree
 
 
-def _links(tree, size):
-    """``(x, s, a, b)`` for each link of the nodes below ``size``, in node order.
-
-    x is the link's child node, s its edge, and a and b its A-end and B-end
-    nodes: ``(parent, x)`` when x ends on the B side (odd depth), else ``(x, parent)``.
-    """
-    parent, last_edge, depth = tree.parent, tree.last_edge, tree.depth
-    for x in range(1, size):
-        p = parent[x]
-        yield (x, last_edge[x], p, x) if depth[x] % 2 else (x, last_edge[x], x, p)
+def _reached(tree, size):
+    # the vertices some node below size ends at, in declaration order
+    return [v for v, ids in tree.at.items() if ids and ids[0] < size]
 
 
 class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
-    """Fibers over all reduced words within ``bound``, plus crossing bijections.
+    """A fiber over each vertex reached within ``bound``, plus crossing bijections.
 
     Words are the node ids of ``tree``, the family's word tree, which the
-    constructor sets beside the four tuple fields. ``fibers[x]`` is an ordered
-    tuple for every node x; ``transitions[x]`` is the ``(fwd, inv)`` dict
-    pair of the link between x and its parent for every node x >= 1, and
-    ``transitions[0]`` is None (refl has no parent). Validation enforces the
-    length of both lists and exact two-sided inverses. Fibers and pairs may
-    be shared objects; containment and bijectivity are checked once per
-    distinct combination of (pair, source fiber, target fiber) objects.
+    constructor sets beside the four tuple fields. ``fibers[v]`` is the
+    ordered tuple over every word ending at vertex v; ``transitions[x]`` is
+    the ``(fwd, inv)`` dict pair of the link between node x and its parent
+    for every node x >= 1, and ``transitions[0]`` is None (refl has no
+    parent). Validation enforces the transition table's length, a fiber over
+    every vertex a word reaches, and exact two-sided inverses. Pairs may be
+    shared objects; an edge fixes both fibers, so containment and
+    bijectivity are checked once per distinct (pair, edge), and a failure
+    names its first link in node order.
     """
 
     def __init__(self, span, bound, fibers, transitions):
         self.tree = tree = word_tree(span, bound)
         size = tree.size(bound)
-        for name, table in (("fiber", fibers), ("transition", transitions)):
-            if len(table) != size:
-                raise ValueError(
-                    "%s table incomplete or overfull (missing %d, extra %d)"
-                    % (name, max(size - len(table), 0), max(len(table) - size, 0))
-                )
-        # identity keys are stable: this family holds every keyed object
-        checked = set()
-        for x, s, a, b in _links(tree, size):
-            pair, src, tgt = transitions[x], fibers[a], fibers[b]
-            key = (id(pair), id(src), id(tgt))
-            if key in checked:
-                continue
-            checked.add(key)
-            fwd, inv = pair
-            src, tgt = set(src), set(tgt)
+        if len(transitions) != size:
+            raise ValueError(
+                "transition table incomplete or overfull (missing %d, extra %d)"
+                % (max(size - len(transitions), 0), max(len(transitions) - size, 0))
+            )
+        for v in _reached(tree, size):
+            if v not in fibers:
+                raise ValueError("fiber table has no fiber over %s" % span.vertex_label(v))
+        sets = {v: set(fiber) for v, fiber in fibers.items()}
+        a_ends, b_ends = tree.links
+        ends, edges = tree.end, tree.last_edge[1:size]
+        # identity keys are stable: this family holds every keyed pair. Walked
+        # backwards, each (pair, edge) keeps its first link; then in node order
+        first = dict(zip(zip(map(id, transitions[:0:-1]), edges[::-1]), range(size - 1, 0, -1)))
+        for x in sorted(first.values()):
+            fwd, inv = transitions[x]
+            a, b = a_ends[x - 1], b_ends[x - 1]
             problem = None
-            if any(u not in src or v not in tgt for u, v in fwd.items()):
+            if not (sets[ends[a]].issuperset(fwd) and sets[ends[b]].issuperset(fwd.values())):
                 problem = "leaves the fibers"
-            elif len(set(fwd.values())) != len(fwd) or inv != {v: u for u, v in fwd.items()}:
+            elif len(set(fwd.values())) != len(fwd) or inv != dict(zip(fwd.values(), fwd)):
                 problem = "is not bijective"
             if problem:
                 raise ValueError(
                     "transition (%s, %s) %s"
-                    % (span.edge_label(s), tree.text(a), problem)
+                    % (span.edge_label(edges[x - 1]), tree.text(a), problem)
                 )
 
 
 def build_family(span, bound, fiber_for, crossing):
     """Assemble a DescentFamily from a generator interface.
 
-    ``fiber_for(vertex)`` gives the ordered fiber used at every word ending
-    there; it is called once per vertex, in order of first appearance among
-    the canonically ordered words, and the resulting tuple is shared by all
-    those words. ``crossing(s, x)`` gives the forward dict across edge s from
-    node x at the edge's A end, from fiber values to fiber values; it is
-    called once per link, in node order. It may omit values whose image
-    falls outside the window (the transition is then partial there) and is
-    not trimmed to the fibers, so validation rejects stray keys or images.
-    Returning the same dict for several links shares one (fwd, inv) pair
-    between their transitions; the inverse is computed once per distinct dict.
+    ``fiber_for(vertex)`` gives the ordered fiber over a vertex; it is called
+    once per vertex some word reaches, in declaration order. ``crossing(s, x)``
+    gives the forward dict across edge s from node x at the edge's A end,
+    from fiber values to fiber values; it is called once per link, in node
+    order. It may omit values whose image falls outside the window (the
+    transition is then partial there) and is not trimmed to the fibers, so
+    validation rejects stray keys or images. Returning the same dict for
+    several links shares one (fwd, inv) pair between their transitions; the
+    inverse is computed once per distinct dict.
     """
     tree = word_tree(span, bound)
     size = tree.size(bound)
-    ends = tree.end[:size]
-    at = {v: tuple(fiber_for(v)) for v in dict.fromkeys(ends)}
-    fibers = [at[v] for v in ends]
-    pairs = {}  # id(fwd) -> (fwd, inv); every fwd stays referenced by the table
-    transitions = [None]
-    for _, s, a, _ in _links(tree, size):
-        fwd = crossing(s, a)
-        if id(fwd) not in pairs:
-            pairs[id(fwd)] = (fwd, {y: x for x, y in fwd.items()})
-        transitions.append(pairs[id(fwd)])
+    fibers = {v: tuple(fiber_for(v)) for v in _reached(tree, size)}
+    fwds = list(map(crossing, tree.last_edge[1:size], tree.links[0]))
+    # one pair per distinct dict; every fwd stays referenced by fwds
+    distinct = dict(zip(map(id, fwds), fwds))
+    pairs = {key: (fwd, dict(zip(fwd.values(), fwd))) for key, fwd in distinct.items()}
+    transitions = [None, *map(pairs.__getitem__, map(id, fwds))]
     return DescentFamily(span, bound, fibers, transitions)
 
 
@@ -150,21 +143,36 @@ def winding_family(span, bound, edge):
 
 
 def random_family(span, bound, rng):
-    """A uniform-size family with an independent random bijection per transition."""
+    """A uniform-size family with an independent random bijection per transition.
+
+    Links that draw the same permutation share its dict.
+    """
     size = rng.randint(1, 4)
-    return build_family(
-        span,
-        bound,
-        lambda v: tuple(range(size)),
-        lambda s, x: dict(enumerate(rng.sample(range(size), size))),
-    )
+    bits, widths, perms = rng.getrandbits, [(m, m.bit_length()) for m in range(size, 0, -1)], {}
+
+    def crossing(s, x):
+        # the draws of rng.sample(range(size), size) on CPython 3.10-3.13: _randbelow(m) for
+        # m = size..1 (getrandbits(m.bit_length()) until below m), each pick swapped to the
+        # pool's end; test_random_family_draws_are_the_reference_draws draws through sample
+        pool = list(range(size))
+        for m, k in widths:
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            pool[j], pool[m - 1] = pool[m - 1], pool[j]
+        perm = tuple(reversed(pool))  # sample's picks, in order
+        if perm not in perms:
+            perms[perm] = dict(enumerate(perm))
+        return perms[perm]
+
+    return build_family(span, bound, lambda v: tuple(range(size)), crossing)
 
 
 class Section(record("Section", "family values")):
     """Values of a section, one per node id of the family's tree."""
 
     def __init__(self, family, values):
-        if len(values) != len(family.fibers):
+        if len(values) != len(family.transitions):
             raise ValueError("a section needs one value per word, got %d" % len(values))
 
 
@@ -177,11 +185,11 @@ def elim_section(fam, q0):
     (the family's window is too small for the fold to pass through).
     """
     span, tree, transitions = fam.span, fam.tree, fam.transitions
-    if q0 not in fam.fibers[0]:
+    if q0 not in fam.fibers[span.base_vertex]:
         raise ValueError("base value %r is not in the fiber at refl" % (q0,))
     parent, depth = tree.parent, tree.depth
     values = [q0]
-    for x in range(1, len(fam.fibers)):
+    for x in range(1, len(transitions)):
         p, forward = parent[x], depth[x] % 2
         # a forward last step runs x's link from p, a backward one back from x
         table = transitions[x][0 if forward else 1]
@@ -221,7 +229,8 @@ def check_computation(fam, q0, sec):
     if values[0] != q0:
         violations.append("value at refl is %r, expected %r" % (values[0], q0))
     safe = tree.size(fam.bound - 1)
-    for x, s, a, b in _links(tree, len(fam.fibers)):
+    size = len(transitions)
+    for x, s, a, b in zip(range(1, size), tree.last_edge[1:size], *tree.links):
         if a >= safe:
             continue
         checked += 1
@@ -287,7 +296,7 @@ def word_family(span, bound):
     """
     tree = word_tree(span, bound)
     crossings = [{} for _ in span.edges]
-    for _, s, a, b in _links(tree, tree.size(bound)):
+    for s, a, b in zip(tree.last_edge[1 : tree.size(bound)], *tree.links):
         crossings[s][a] = b
     return build_family(
         span, bound, lambda v: tree.nodes_at(v, bound), lambda s, x: crossings[s]
@@ -313,7 +322,8 @@ def encode_decode(span, bound):
     ]
     nat_checked = 0
     nat_mismatches = []
-    for x, s, a, b in _links(tree, safe):  # a child below safe has its parent there too
+    # a child below safe has its parent there too
+    for x, s, a, b in zip(range(1, safe), tree.last_edge[1:safe], *tree.links):
         nat_checked += 1
         if transitions[x][0].get(values[a]) != values[b]:
             nat_mismatches.append(

@@ -12,7 +12,6 @@ deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import NamedTuple
 
 from .span import record
@@ -116,10 +115,13 @@ class DirectLimit(NamedTuple):
 
     def representatives(self):
         """The least ``(n, x)`` pair of each class, in class id order."""
-        cells, _ = class_labels(self.class_of, self.class_count, range(len(self.class_of)))
-        # a cell's level is the last one starting at or before it
-        levels = [bisect_right(self.offsets, cell) - 1 for cell in cells]
-        return [(n, cell - self.offsets[n]) for n, cell in zip(levels, cells)]
+        # ids number classes by least cell, so a class's least cell is where its id first shows
+        out, stops = [], self.offsets[1:] + (len(self.class_of),)
+        for n, (start, stop) in enumerate(zip(self.offsets, stops)):
+            for x, cls in enumerate(self.class_of[start:stop]):
+                if cls == len(out):
+                    out.append((n, x))
+        return out
 
 
 def direct_limit(d):

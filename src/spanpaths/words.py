@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from operator import add
 
 from .span import Vertex
@@ -166,6 +167,19 @@ class WordTree:
         self.at = at = {v: [] for v in span.vertices()}
         for x, v in enumerate(end):
             at[v].append(x)
+
+    @cached_property
+    def links(self):
+        """The link columns, built on first use: ``(a_ends, b_ends)``, node x's link at x - 1.
+
+        The link is ``(parent[x], x)`` at odd depth (x ends on the B side), else ``(x, parent[x])``.
+        """
+        a_ends, b_ends = [], []
+        for d in range(1, self.depth[-1] + 1):
+            ends = self.parent[self.size(d - 1) : self.size(d)], range(self.size(d - 1), self.size(d))
+            a_ends += ends[d % 2 == 0]
+            b_ends += ends[d % 2]
+        return a_ends, b_ends
 
     def size(self, bound):
         """Number of nodes of depth <= ``bound``, for any bound up to the tree's own."""

@@ -19,7 +19,7 @@ from spanpaths.idsys import (
     winding_family,
     word_family,
 )
-from spanpaths.span import parse_span
+from spanpaths.span import Vertex, parse_span
 from spanpaths.words import all_reduced_words, parse_word, word_endpoint
 
 T_EDGE = 1  # the circle's second edge, the counted one in the worked examples
@@ -190,6 +190,18 @@ def test_family_validation_rejects_non_bijection_among_shared_pairs(circle):
         DescentFamily(circle, 6, fam.fibers, transitions)
 
 
+def test_family_validation_checks_each_pair_across_each_edge(span_of):
+    # one shared dict for every link: it fits the fibers across s0 but not
+    # across s1, whose B end has the smaller fiber, so checking the pair at
+    # its first link alone would pass the family
+    span = span_of(1, 2, [(0, 0), (0, 1)])
+    same = {0: 0, 1: 1}
+    with pytest.raises(ValueError, match=r"transition \(s1, refl\) leaves the fibers"):
+        build_family(
+            span, 3, lambda v: (0,) if v == Vertex("B", 1) else (0, 1), lambda s, x: same
+        )
+
+
 def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
     with pytest.raises(ValueError, match="leaves the fibers"):
         build_family(circle, 3, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1, 2: 2})
@@ -197,9 +209,9 @@ def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
 
 def test_family_validation_rejects_missing_fiber(circle):
     fam = trivial_family(circle, 3)
-    fibers = list(fam.fibers)
-    del fibers[all_reduced_words(circle, 3).index(parse_word(circle, ">s"))]
-    with pytest.raises(ValueError, match="fiber table"):
+    fibers = dict(fam.fibers)
+    del fibers[word_endpoint(circle, parse_word(circle, ">s"))]
+    with pytest.raises(ValueError, match="fiber table has no fiber over b"):
         DescentFamily(circle, 3, fibers, fam.transitions)
 
 
@@ -242,9 +254,27 @@ def test_random_families_fold_coherently(corpus):
             assert uniqueness_check(fam, 0, section).ok
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_random_family_draws_are_the_reference_draws(corpus, seed):
+    # random_family draws each link's permutation with getrandbits; the twin
+    # rng draws the reference permutations through rng.sample, link by link
+    sizes = set()
+    for span in corpus.values():
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            fam = random_family(span, 5, ours)
+            size = ref.randint(1, 4)
+            sizes.add(size)
+            assert fam.fibers[span.base_vertex] == tuple(range(size))
+            for x, (fwd, _inv) in enumerate(fam.transitions[1:], 1):
+                assert fwd == dict(enumerate(ref.sample(range(size), size))), (span, x)
+        assert ours.getstate() == ref.getstate()
+    assert sizes == {1, 2, 3, 4}  # size 1 included: its 1-bit draws reject half the time
+
+
 def test_build_family_on_edgeless_span(coproduct):
     fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
-    assert len(fam.fibers) == 1  # refl alone
+    assert len(fam.fibers) == 1  # only the base vertex is reached
     assert fam.transitions == [None]
     section = elim_section(fam, 1)
     assert section.values == [1]
@@ -292,7 +322,7 @@ def wrong_value_at_first_link(elim):
     # the fold writes the next fiber value at node 1, the first crossing from refl
     def sabotaged(fam, q0):
         values = list(elim(fam, q0).values)
-        fiber = fam.fibers[1]
+        fiber = fam.fibers[fam.tree.end[1]]
         values[1] = fiber[(fiber.index(values[1]) + 1) % len(fiber)]
         return Section(fam, values)
 
