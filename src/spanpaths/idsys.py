@@ -25,24 +25,21 @@ the tree, between a node x and its parent, read from the tree's link columns
 is the pair of x's link, its forward dict running from the link's A-end node
 to its B-end node; fibers are a dict by vertex. Families are generated from
 ``crossing(s, x)``, which returns the forward dict of one whole transition
-from A-end node x. A family whose crossing does not depend on the node
-(trivial, parity, winding and the word family itself) returns the same dict
-for every link across an edge, so one ``(fwd, inv)`` pair object is shared
-by all of them; validation checks each (pair, edge) once.
+from A-end node x. A family whose crossing ignores the node (trivial,
+parity, winding, the word family) shares one ``(fwd, inv)`` pair across an
+edge; random_family keeps one dict per permutation draw code. Validation
+runs by edge over ``tree.link_groups``: containment once per (pair, edge),
+bijectivity once per pair.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from types import SimpleNamespace
 from typing import NamedTuple
 
 from .span import record
 from .words import word_tree
-
-
-def _reached(tree, size):
-    # the vertices some node below size ends at, in declaration order
-    return [v for v, ids in tree.at.items() if ids and ids[0] < size]
 
 
 class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
@@ -54,10 +51,11 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
     the ``(fwd, inv)`` dict pair of the link between node x and its parent
     for every node x >= 1, and ``transitions[0]`` is None (refl has no
     parent). Validation enforces the transition table's length, a fiber over
-    every vertex a word reaches, and exact two-sided inverses. Pairs may be
-    shared objects; an edge fixes both fibers, so containment and
-    bijectivity are checked once per distinct (pair, edge), and a failure
-    names its first link in node order.
+    every vertex a word reaches, and exact two-sided inverses. It runs by
+    edge, over the tree's link groups: an edge fixes both fibers, so
+    containment is checked once per distinct (pair, edge), and bijectivity,
+    which depends on the pair alone, once per distinct pair. Only a failure
+    walks the links, in node order, to name the first failing one.
     """
 
     def __init__(self, span, bound, fibers, transitions):
@@ -68,28 +66,29 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
                 "transition table incomplete or overfull (missing %d, extra %d)"
                 % (max(size - len(transitions), 0), max(len(transitions) - size, 0))
             )
-        for v in _reached(tree, size):
+        reached, groups = tree.link_groups(size)
+        for v in reached:
             if v not in fibers:
                 raise ValueError("fiber table has no fiber over %s" % span.vertex_label(v))
-        sets = {v: set(fiber) for v, fiber in fibers.items()}
-        a_ends, b_ends = tree.links
-        ends, edges = tree.end, tree.last_edge[1:size]
-        # identity keys are stable: this family holds every keyed pair. Walked
-        # backwards, each (pair, edge) keeps its first link; then in node order
-        first = dict(zip(zip(map(id, transitions[:0:-1]), edges[::-1]), range(size - 1, 0, -1)))
-        for x in sorted(first.values()):
-            fwd, inv = transitions[x]
-            a, b = a_ends[x - 1], b_ends[x - 1]
-            problem = None
-            if not (sets[ends[a]].issuperset(fwd) and sets[ends[b]].issuperset(fwd.values())):
-                problem = "leaves the fibers"
-            elif len(set(fwd.values())) != len(fwd) or inv != dict(zip(fwd.values(), fwd)):
-                problem = "is not bijective"
-            if problem:
-                raise ValueError(
-                    "transition (%s, %s) %s"
-                    % (span.edge_label(edges[x - 1]), tree.text(a), problem)
-                )
+        # each reached vertex ends a link unless refl is the only node, so each set is read
+        sets, bijective, bad = {v: set(fibers[v]) for v in reached}, {}, {}
+        for s, (a, b), nodes in groups:
+            fa, fb = sets[a], sets[b]
+            pairs = list(map(transitions.__getitem__, nodes))
+            # identity keys are stable: this family holds every keyed pair
+            for key, (fwd, inv) in dict(zip(map(id, pairs), pairs)).items():
+                if not (fa.issuperset(fwd) and fb.issuperset(fwd.values())):
+                    bad[key, s] = "leaves the fibers"
+                    continue
+                if key not in bijective:
+                    bijective[key] = len(inv) == len(fwd) and inv == dict(zip(fwd.values(), fwd))
+                if not bijective[key]:
+                    bad[key, s] = "is not bijective"
+        if bad:
+            for x, s, a in zip(range(1, size), tree.last_edge[1:size], tree.links[0]):
+                problem = bad.get((id(transitions[x]), s))
+                if problem:
+                    raise ValueError("transition (%s, %s) %s" % (span.edge_label(s), tree.text(a), problem))
 
 
 def build_family(span, bound, fiber_for, crossing):
@@ -107,12 +106,12 @@ def build_family(span, bound, fiber_for, crossing):
     """
     tree = word_tree(span, bound)
     size = tree.size(bound)
-    fibers = {v: tuple(fiber_for(v)) for v in _reached(tree, size)}
+    fibers = {v: tuple(fiber_for(v)) for v in tree.link_groups(size)[0]}
     fwds = list(map(crossing, tree.last_edge[1:size], tree.links[0]))
     # one pair per distinct dict; every fwd stays referenced by fwds
-    distinct = dict(zip(map(id, fwds), fwds))
-    pairs = {key: (fwd, dict(zip(fwd.values(), fwd))) for key, fwd in distinct.items()}
-    transitions = [None, *map(pairs.__getitem__, map(id, fwds))]
+    keys = list(map(id, fwds))
+    pairs = {key: (fwd, dict(zip(fwd.values(), fwd))) for key, fwd in dict(zip(keys, fwds)).items()}
+    transitions = [None, *map(pairs.__getitem__, keys)]
     return DescentFamily(span, bound, fibers, transitions)
 
 
@@ -145,25 +144,31 @@ def winding_family(span, bound, edge):
 def random_family(span, bound, rng):
     """A uniform-size family with an independent random bijection per transition.
 
-    Links that draw the same permutation share its dict.
+    Each link makes the ``getrandbits`` calls of ``rng.sample(range(size),
+    size)``, read as one mixed-radix draw code; links drawing one code share
+    its dict, built on the code's first draw.
     """
     size = rng.randint(1, 4)
     bits, widths, perms = rng.getrandbits, [(m, m.bit_length()) for m in range(size, 0, -1)], {}
 
     def crossing(s, x):
         # the draws of rng.sample(range(size), size) on CPython 3.10-3.13: _randbelow(m) for
-        # m = size..1 (getrandbits(m.bit_length()) until below m), each pick swapped to the
-        # pool's end; test_random_family_draws_are_the_reference_draws draws through sample
-        pool = list(range(size))
+        # m = size..1, getrandbits(m.bit_length()) until below m, each draw j one digit of the
+        # code; test_random_family_draws_are_the_reference_draws draws through sample
+        code = 0
         for m, k in widths:
             j = bits(k)
             while j >= m:
                 j = bits(k)
-            pool[j], pool[m - 1] = pool[m - 1], pool[j]
-        perm = tuple(reversed(pool))  # sample's picks, in order
-        if perm not in perms:
-            perms[perm] = dict(enumerate(perm))
-        return perms[perm]
+            code = code * m + j
+        perm = perms.get(code)
+        if perm is None:  # its first draw: replay sample's picks, the digit of radix m weighing (m - 1)!
+            perm, pool, rest = {}, list(range(size)), code
+            for i, m in enumerate(range(size, 0, -1)):
+                j, rest = divmod(rest, factorial(m - 1))
+                perm[i], pool[j] = pool[j], pool[m - 1]
+            perms[code] = perm
+        return perm
 
     return build_family(span, bound, lambda v: tuple(range(size)), crossing)
 
@@ -187,20 +192,21 @@ def elim_section(fam, q0):
     span, tree, transitions = fam.span, fam.tree, fam.transitions
     if q0 not in fam.fibers[span.base_vertex]:
         raise ValueError("base value %r is not in the fiber at refl" % (q0,))
-    parent, depth = tree.parent, tree.depth
-    values = [q0]
-    for x in range(1, len(transitions)):
-        p, forward = parent[x], depth[x] % 2
-        # a forward last step runs x's link from p, a backward one back from x
-        table = transitions[x][0 if forward else 1]
-        prev = values[p]
-        if prev not in table:
-            a = p if forward else x
-            raise ValueError(
-                "family window too small: transition at (%s, %s) is undefined on %r"
-                % (span.edge_label(tree.last_edge[x]), tree.text(a), prev)
-            )
-        values.append(table[prev])
+    parent, depth, values = tree.parent, tree.depth, [q0]
+    append, hi = values.append, 1
+    while hi < len(transitions):  # one depth d at a time, its nodes lo..hi - 1
+        lo, d = hi, depth[hi]
+        hi, k = tree.size(d), 1 - d % 2
+        # a forward (odd depth) last step runs x's link from its parent, a backward one back from x
+        for x in range(lo, hi):
+            p = parent[x]
+            try:
+                append(transitions[x][k][values[p]])
+            except KeyError:
+                raise ValueError(
+                    "family window too small: transition at (%s, %s) is undefined on %r"
+                    % (span.edge_label(tree.last_edge[x]), tree.text(x if k else p), values[p])
+                ) from None
     return Section(fam, values)
 
 
@@ -225,27 +231,23 @@ def check_computation(fam, q0, sec):
     span, tree, transitions = fam.span, fam.tree, fam.transitions
     values = sec.values
     violations = []
-    checked = 1
     if values[0] != q0:
         violations.append("value at refl is %r, expected %r" % (values[0], q0))
-    safe = tree.size(fam.bound - 1)
-    size = len(transitions)
-    for x, s, a, b in zip(range(1, size), tree.last_edge[1:size], *tree.links):
-        if a >= safe:
+    # a link's A end is window-safe (below size(bound - 1)) unless the link is at an even top depth
+    stop = len(transitions) if fam.bound % 2 else tree.size(fam.bound - 1)
+    for x, s, a, b in zip(range(1, stop), tree.last_edge[1:stop], *tree.links):
+        try:
+            image = transitions[x][0][values[a]]
+        except KeyError:
+            violations.append("transition (%s, %s) undefined on the section value %r"
+                              % (span.edge_label(s), tree.text(a), values[a]))
             continue
-        checked += 1
-        fwd = transitions[x][0]
-        if values[a] not in fwd:
-            violations.append(
-                "transition (%s, %s) undefined on the section value %r"
-                % (span.edge_label(s), tree.text(a), values[a])
-            )
-        elif fwd[values[a]] != values[b]:
+        if image != values[b]:
             violations.append(
                 "computation rule fails at %s across %s: %r != %r"
-                % (tree.text(a), span.edge_label(s), fwd[values[a]], values[b])
+                % (tree.text(a), span.edge_label(s), image, values[b])
             )
-    return ComputationReport(checked, violations)
+    return ComputationReport(max(stop, 1), violations)  # refl's base value, then one rule per link
 
 
 class UniquenessReport(NamedTuple):

@@ -134,8 +134,13 @@ class WordTree:
         ne = len(span.edges)
         to_b = [Vertex("B", span.b_end(s)) for s in range(ne)]
         to_a = [Vertex("A", span.a_end(s)) for s in range(ne)]
-        incident = {v: span.edges_at(v) for v in span.vertices()}
+        # onward[d % 2][e]: the last edges of the depth-d children of a node whose last edge is e,
+        # the edges at e's far end other than e; refl's, the base vertex's edges, is onward[1][-1]
+        onward = [[[t for t in span.edges_at(v) if t != s] for s, v in enumerate(ends)]
+                  for ends in (to_b, to_a)]
+        onward[1].append(span.edges_at(span.base_vertex))
         self.span, self.bound = span, bound
+        self._ends, self._groups = list(zip(to_a, to_b)), {}  # for link_groups, which it keeps by size
         self.parent = parent = [-1]
         self.last_edge = last = [-1]
         self.end = end = [span.base_vertex]
@@ -144,12 +149,11 @@ class WordTree:
         start = 0
         for d in range(1, bound + 1):
             stop = len(parent)
-            parents, edges = [], []
-            for x, v, e in zip(range(start, stop), end[start:stop], last[start:stop]):
-                for s in incident[v]:
-                    if s != e:
-                        parents.append(x)
-                        edges.append(s)
+            parents, edges, row = [], [], onward[d % 2]
+            for x, e in zip(range(start, stop), last[start:stop]):
+                for s in row[e]:
+                    parents.append(x)
+                    edges.append(s)
             if not parents:  # the ball stopped growing: the component is a tree
                 break
             far = to_b if d % 2 else to_a  # odd depths end on the B side
@@ -174,12 +178,30 @@ class WordTree:
 
         The link is ``(parent[x], x)`` at odd depth (x ends on the B side), else ``(x, parent[x])``.
         """
-        a_ends, b_ends = [], []
+        a_ends, b_ends, hi = [], [], 1
         for d in range(1, self.depth[-1] + 1):
-            ends = self.parent[self.size(d - 1) : self.size(d)], range(self.size(d - 1), self.size(d))
+            lo, hi = hi, self.size(d)
+            ends = self.parent[lo:hi], range(lo, hi)
             a_ends += ends[d % 2 == 0]
             b_ends += ends[d % 2]
         return a_ends, b_ends
+
+    def link_groups(self, size):
+        """``(reached, groups)`` for the nodes below ``size``, built once per size.
+
+        ``reached`` lists the vertices they end at, in declaration order;
+        ``groups`` holds ``(s, (A end, B end), nodes)`` per edge s with a link
+        below size, ``nodes`` the x < size whose last edge is s in node order.
+        """
+        if size not in self._groups:
+            nodes = [[] for _ in self.span.edges]
+            for x, s in zip(range(1, size), self.last_edge[1:size]):
+                nodes[s].append(x)
+            self._groups[size] = (
+                [v for v, ids in self.at.items() if ids and ids[0] < size],
+                [(s, self._ends[s], xs) for s, xs in enumerate(nodes) if xs],
+            )
+        return self._groups[size]
 
     def size(self, bound):
         """Number of nodes of depth <= ``bound``, for any bound up to the tree's own."""

@@ -202,6 +202,18 @@ def test_family_validation_checks_each_pair_across_each_edge(span_of):
         )
 
 
+def test_family_validation_names_the_first_failing_link_in_node_order(theta):
+    # bad links across two edges: u's (node 3, >u) precedes s's (node 6, >t <s) in node
+    # order although s is the lower edge, so a report in edge order would name s's
+    same = {0: 0, 1: 1}
+    bad = {(2, 0): {0: 0, 1: 2}, (0, 6): {0: 0, 1: 0}}  # keyed (edge, A-end node)
+    # s's bad link alone is caught; with u's as well, u's is the one named
+    with pytest.raises(ValueError, match=r"^transition \(s, >t <s\) is not bijective$"):
+        build_family(theta, 3, lambda v: (0, 1), lambda s, x: bad.get((s, x), same) if s == 0 else same)
+    with pytest.raises(ValueError, match=r"^transition \(u, refl\) leaves the fibers$"):
+        build_family(theta, 3, lambda v: (0, 1), lambda s, x: bad.get((s, x), same))
+
+
 def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
     with pytest.raises(ValueError, match="leaves the fibers"):
         build_family(circle, 3, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1, 2: 2})
@@ -305,7 +317,7 @@ def test_fold_counts_follow_the_words(name):
     # one computation rule per edge at each A-side word short enough to cross,
     # one identity per window-safe word, one square per link among those words
     span = SPANS[name]
-    for bound in range(1, 9):
+    for bound in range(9):  # at bound 0 only refl's base value is checked
         short = all_reduced_words(span, bound - 1)
         rules = sum(
             len(span.edges_at(word_endpoint(span, word))) for word in short if len(word) % 2 == 0
@@ -315,7 +327,7 @@ def test_fold_counts_follow_the_words(name):
         report = encode_decode(span, bound)
         assert report.ok
         assert report.identity_checked == len(short)
-        assert report.naturality_checked == report.identity_checked - 1
+        assert report.naturality_checked == max(report.identity_checked - 1, 0)
 
 
 def wrong_value_at_first_link(elim):
