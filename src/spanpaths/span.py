@@ -159,10 +159,9 @@ def parse_span(text):
     duplicate labels, unknown edge endpoints, a duplicated or missing ``base``
     line, or a basepoint that is not an A vertex.
     """
-    a_labels, b_labels = [], []
-    a_lines, b_lines = {}, {}
+    a_index, b_index = {}, {}  # label -> index, in declaration order
     raw_edges = []
-    edge_lines = {}
+    edge_labels = set()
     base = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -173,21 +172,20 @@ def parse_span(text):
         if head in ("A", "B"):
             if not rest:
                 raise SpanError("expected at least one label after %r" % (head,), lineno)
-            labels, lines = (a_labels, a_lines) if head == "A" else (b_labels, b_lines)
+            index = a_index if head == "A" else b_index
             for tok in rest:
                 _check_label(tok, lineno)
-                if tok in lines:
+                if tok in index:
                     raise SpanError("duplicate %s label %r" % (head, tok), lineno)
-                lines[tok] = lineno
-                labels.append(tok)
+                index[tok] = len(index)
         elif head == "S":
             if len(rest) != 3:
                 raise SpanError("expected 'S <edge> <A-vertex> <B-vertex>'", lineno)
             for tok in rest:
                 _check_label(tok, lineno)
-            if rest[0] in edge_lines:
+            if rest[0] in edge_labels:
                 raise SpanError("duplicate edge label %r" % (rest[0],), lineno)
-            edge_lines[rest[0]] = lineno
+            edge_labels.add(rest[0])
             raw_edges.append((lineno, rest[0], rest[1], rest[2]))
         elif head == "base":
             if len(rest) != 1:
@@ -198,8 +196,6 @@ def parse_span(text):
             base = (rest[0], lineno)
         else:
             raise SpanError("unknown directive %r" % (head,), lineno)
-    a_index = {lab: i for i, lab in enumerate(a_labels)}
-    b_index = {lab: j for j, lab in enumerate(b_labels)}
     edges = []
     for lineno, label, a_lab, b_lab in raw_edges:
         if a_lab not in a_index:
@@ -212,7 +208,7 @@ def parse_span(text):
     base_label, base_line = base
     if base_label not in a_index:
         raise SpanError("basepoint %r not in A" % (base_label,), base_line)
-    return FiniteSpan(tuple(a_labels), tuple(b_labels), tuple(edges), a_index[base_label])
+    return FiniteSpan(tuple(a_index), tuple(b_index), tuple(edges), a_index[base_label])
 
 
 def serialize_span(span):

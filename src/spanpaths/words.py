@@ -295,8 +295,7 @@ def enumerate_words(span, endpoint, max_len):
     Ordered canonically, without duplicates. Raises WordError for an unknown
     endpoint.
     """
-    labels = span.a_vertices if endpoint.side == "A" else span.b_vertices
-    if endpoint.side not in ("A", "B") or not 0 <= endpoint.index < len(labels):
+    if endpoint not in span.vertices():
         raise WordError("unknown endpoint %r" % (endpoint,))
     tree = word_tree(span, max_len)
     return [tree.word(x) for x in tree.nodes_at(endpoint, max_len)]

@@ -18,9 +18,12 @@ from spanpaths.seqcolim import (
     zigzag_equivalence,
     zigzag_to_morphism,
 )
-from spanpaths.span import Vertex
+from spanpaths.span import Vertex, parse_span
 from spanpaths.stages import build_stages, construction_zigzag, stage_diagram, stage_word_bijection
 from spanpaths.words import enumerate_words
+
+from conftest import CORPUS_TEXT
+from test_sabotage import SABOTAGED_ROWS
 
 
 def constant_diagram(size, levels):
@@ -128,6 +131,45 @@ def test_diagram_validation():
     # a dict's keys would pass the range checks while its values were ignored
     with pytest.raises(ValueError, match="not a tuple"):
         FinSeqDiagram((2, 2), ({0: 1, 1: 0},))
+
+
+# one element on 2 and on 3 levels; a zigzag's two sides; a limit gluing both elements of level 0
+ONE_TWO, ONE_THREE = constant_diagram(1, 2), constant_diagram(1, 3)
+LEFT, RIGHT = FinSeqDiagram((1, 1), ((0,),)), FinSeqDiagram((1, 2), ((1,),))
+GLUED_PAIR = direct_limit(FinSeqDiagram((2, 1), ((0, 0),)))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SeqMorphism(ONE_TWO, ONE_THREE, ()), "source and target truncations differ"),
+        (lambda: SeqMorphism(ONE_TWO, ONE_TWO, ((0,),)), "need one level map per level"),
+        (
+            lambda: compose_morphisms(identity_morphism(ONE_TWO), identity_morphism(ONE_THREE)),
+            "morphisms do not compose",
+        ),
+        (lambda: SeqZigzag(ONE_TWO, ONE_THREE, (), ()), "left and right truncations differ"),
+        (lambda: SeqZigzag(ONE_TWO, ONE_TWO, ((0,),), ((0,),)), "need 2 forward and 1 backward maps"),
+        # the left triangle holds; fwd after bwd sends right element 0 to 0, right's map to 1
+        (
+            lambda: SeqZigzag(LEFT, RIGHT, ((0,), (0,)), ((0,),)),
+            "right triangle fails at level 0, element 0",
+        ),
+        (lambda: half_shift(identity_zigzag(1, 1)), "cannot half-shift a zigzag with a single level"),
+        (
+            lambda: construction_zigzag(build_stages(parse_span(CORPUS_TEXT["circle"]), 0), 0),
+            "need at least stages 0 and 1",
+        ),
+        # a source limit coarser than the morphism's source
+        (
+            lambda: map_of_limits(identity_morphism(constant_diagram(2, 1)), GLUED_PAIR),
+            "induced map is not constant",
+        ),
+    ],
+)
+def test_diagram_constructions_reject_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_morphism_square_condition_rejected():
@@ -248,6 +290,12 @@ def test_shift_invariance(circle):
     assert lim_shift.class_count == lim.class_count == len(image)
 
 
+def test_every_limit_check_has_a_sabotage(theta):
+    names = {r.name for r in checks.seqcolim_suite(build_stages(theta, 3))}
+    names |= {"stages.colimit-agreement", "stages.zigzag-equivalence"}
+    assert names <= SABOTAGED_ROWS
+
+
 def test_truncate_diagram_bounds():
     d = constant_diagram(1, 3)
     assert truncate_diagram(d, 1).sizes == d.sizes[:2]
@@ -275,60 +323,3 @@ def test_seqcolim_suite_builds_each_diagram_and_limit_once(theta, monkeypatch):
     # one limit per vertex and per shifted diagram, and three per edge for map-composition
     vertices, edges = len(theta.vertices()), len(theta.edges)
     assert calls == {"stage_diagram": vertices, "direct_limit": 2 * vertices + 3 * edges}
-
-
-def reversed_images(induced):
-    # images listed in reverse class order: every entry in range, most of them wrong
-    return lambda *args: induced(*args)[::-1]
-
-
-# check name -> (object, attribute, sabotage of the attribute's current value,
-# every row of run_all the sabotage flips); the sabotages patch the binding
-# the row's producer reads, so checks.X and seqcolim.X are different targets
-COLIMIT_SABOTAGE = {
-    "seqcolim.union-order-determinism": (
-        # skipping whichever gluing comes first makes the classes depend on the order
-        checks, "partition", lambda part: lambda total, glue: part(total, glue[1:]),
-        {"seqcolim.union-order-determinism"},
-    ),
-    "seqcolim.injective-classes": (
-        # every direct limit leaves its last level unglued
-        seqcolim, "partition", lambda part: lambda total, glue: part(total, glue[:-1]),
-        {
-            "seqcolim.injective-classes", "seqcolim.union-order-determinism",
-            "stages.colimit-agreement", "stages.zigzag-equivalence",
-        },
-    ),
-    "seqcolim.shift-invariance": (
-        checks, "shift_diagram", lambda shift: lambda d: truncate_diagram(d, d.truncation - 1),
-        {"seqcolim.shift-invariance"},
-    ),
-    "seqcolim.map-composition": (
-        checks, "map_of_limits", reversed_images, {"seqcolim.map-composition"},
-    ),
-    "stages.zigzag-equivalence": (
-        seqcolim, "map_of_limits", reversed_images, {"stages.zigzag-equivalence"},
-    ),
-    "stages.colimit-agreement": (
-        # each cell reads the label of the cell before it
-        checks, "class_labels",
-        lambda labels_of: lambda class_of, count, labels: labels_of(
-            class_of, count, labels[-1:] + labels[:-1]
-        ),
-        {"stages.colimit-agreement", "seqcolim.shift-invariance"},
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(COLIMIT_SABOTAGE))
-def test_colimit_check_sabotage_flips_its_row(theta, monkeypatch, name):
-    target, attribute, sabotage, flipped = COLIMIT_SABOTAGE[name]
-    assert all(r.ok for r in checks.run_all(theta))
-    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
-    assert {r.name for r in checks.run_all(theta) if not r.ok} == flipped
-
-
-def test_every_limit_check_has_a_sabotage(theta):
-    names = {r.name for r in checks.seqcolim_suite(build_stages(theta, 3))}
-    names |= {"stages.colimit-agreement", "stages.zigzag-equivalence"}
-    assert names == set(COLIMIT_SABOTAGE)

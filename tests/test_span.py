@@ -61,6 +61,8 @@ def test_basepoint_not_in_a():
         ("A a\nB b\nQ s a b\nbase a\n", "unknown directive"),
         ("A a!\nB b\nbase a\n", "bad label"),
         ("A a\nB b\nS s a b\nS s a b\nbase a\n", "duplicate edge label"),
+        ("A\nB b\nbase a\n", "expected at least one label"),
+        ("A a\nB b\nbase\n", "expected 'base <A-vertex>'"),
     ],
 )
 def test_parse_errors(text, message):
@@ -186,6 +188,9 @@ def test_constructor_validates_directly():
         ((("a",), ("b",), (), False), "basepoint index False is not an int"),
         ((("a",), ("b",), (("s", 0.0, 0),), 0), "edge 's': A endpoint index 0.0 is not an int"),
         ((("a",), ("b",), (("s", 0, True),), 0), "edge 's': B endpoint index True is not an int"),
+        # the constructor's own duplicate checks, for spans built without parse_span
+        ((("a", "a"), ("b",), (), 0), "duplicate A label 'a'"),
+        ((("a",), ("b",), (("s", 0, 0), ("s", 0, 0)), 0), "duplicate edge label 's'"),
     ]
     for fields, message in cases:
         with pytest.raises(SpanError, match=message):

@@ -4,7 +4,7 @@ import pytest
 
 from spanpaths import checks
 from spanpaths import stages as stages_module
-from spanpaths.seqcolim import FinSeqDiagram, direct_limit
+from spanpaths.seqcolim import direct_limit
 from spanpaths.span import Vertex
 from spanpaths.stages import (
     build_stages,
@@ -382,40 +382,3 @@ def test_fold_names_missing_words_in_text_syntax(circle, monkeypatch):
 def test_stage_word_bijection_past_the_built_stages(theta):
     with pytest.raises(ValueError, match=r"needs stages 0\.\.3, got 0\.\.2"):
         stage_word_bijection(build_stages(theta, 2), 3)
-
-
-def _collapsed_inclusions(diagram):
-    # each inclusion sends every class where class 0 goes
-    def collapsed(stages, vertex):
-        d = diagram(stages, vertex)
-        return FinSeqDiagram(d.sizes, tuple(images[:1] * len(images) for images in d.maps))
-
-    return collapsed
-
-
-# check name -> (object, attribute, sabotage of the attribute's current value,
-# every row of run_all the sabotage flips), in the style of COLIMIT_SABOTAGE
-STAGE_SABOTAGE = {
-    "stages.zero-case": (
-        # the construction starts one stage late, so stage 0 is stage 1
-        checks, "build_stages", lambda build: lambda span, n: build(span, n + 1)[1:],
-        {"stages.zero-case", "stages.word-bijection", "stages.colimit-agreement"},
-    ),
-    "stages.word-bijection": (
-        # the fold drops the last class of every fiber
-        stages_module, "cogap_set", lambda cogap: lambda *args: cogap(*args)[:-1],
-        {"stages.word-bijection", "stages.colimit-agreement"},
-    ),
-    "stages.incl-injective": (
-        checks, "stage_diagram", _collapsed_inclusions,
-        {"stages.incl-injective", "stages.colimit-agreement"},
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(STAGE_SABOTAGE))
-def test_stage_check_sabotage_flips_its_row(theta, monkeypatch, name):
-    target, attribute, sabotage, flipped = STAGE_SABOTAGE[name]
-    assert all(r.ok for r in checks.run_all(theta))
-    monkeypatch.setattr(target, attribute, sabotage(getattr(target, attribute)))
-    assert {r.name for r in checks.run_all(theta) if not r.ok} == flipped
