@@ -23,18 +23,21 @@ one span through words.word_tree. A crossing within the bound is one link of
 the tree, between a node x and its parent, read from the tree's link columns
 (``tree.links``), so transitions are a list by node id: ``transitions[x]``
 is the pair of x's link, its forward dict running from the link's A-end node
-to its B-end node; fibers are a dict by vertex. Families are generated from
-``crossing(s, x)``, which returns the forward dict of one whole transition
-from A-end node x. A family whose crossing ignores the node (trivial,
-parity, winding, the word family) shares one ``(fwd, inv)`` pair across an
-edge; random_family keeps one dict per permutation draw code. Validation
-runs by edge over ``tree.link_groups``: containment once per (pair, edge),
-bijectivity once per pair.
+to its B-end node; fibers are a dict by vertex. build_family takes the
+descent data for pushouts (Kraus and von Raumer, LICS 2019): a fiber per
+vertex and ``crossing(s)``, called once per edge, whose forward dict every
+link across s shares as the edge's one ``(fwd, inv)`` pair (trivial, parity,
+winding, the word family). random_family, the one family defined per link,
+builds its own transition list, one pair per permutation draw code.
+Validation runs by edge over ``tree.link_groups``: containment once per
+(pair, edge), bijectivity once per pair.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import factorial
+from operator import is_
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -54,8 +57,10 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
     every vertex a word reaches, and exact two-sided inverses. It runs by
     edge, over the tree's link groups: an edge fixes both fibers, so
     containment is checked once per distinct (pair, edge), and bijectivity,
-    which depends on the pair alone, once per distinct pair. Only a failure
-    walks the links, in node order, to name the first failing one.
+    which depends on the pair alone, once per distinct pair. One identity
+    pass finds an edge whose links all hold one pair; only otherwise are its
+    distinct pairs collected by id. Only a failure walks the links, in node
+    order, to name the first failing one.
     """
 
     def __init__(self, span, bound, fibers, transitions):
@@ -74,9 +79,14 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
         sets, bijective, bad = {v: set(fibers[v]) for v in reached}, {}, {}
         for s, (a, b), nodes in groups:
             fa, fb = sets[a], sets[b]
-            pairs = list(map(transitions.__getitem__, nodes))
-            # identity keys are stable: this family holds every keyed pair
-            for key, (fwd, inv) in dict(zip(map(id, pairs), pairs)).items():
+            first = transitions[nodes[0]]
+            if all(map(is_, repeat(first), map(transitions.__getitem__, nodes))):
+                distinct = {id(first): first}  # the edge's one pair, as build_family makes it
+            else:
+                pairs = list(map(transitions.__getitem__, nodes))
+                # identity keys are stable: this family holds every keyed pair
+                distinct = dict(zip(map(id, pairs), pairs))
+            for key, (fwd, inv) in distinct.items():
                 if not (fa.issuperset(fwd) and fb.issuperset(fwd.values())):
                     bad[key, s] = "leaves the fibers"
                     continue
@@ -95,36 +105,36 @@ def build_family(span, bound, fiber_for, crossing):
     """Assemble a DescentFamily from a generator interface.
 
     ``fiber_for(vertex)`` gives the ordered fiber over a vertex; it is called
-    once per vertex some word reaches, in declaration order. ``crossing(s, x)``
-    gives the forward dict across edge s from node x at the edge's A end,
-    from fiber values to fiber values; it is called once per link, in node
-    order. It may omit values whose image falls outside the window (the
-    transition is then partial there) and is not trimmed to the fibers, so
-    validation rejects stray keys or images. Returning the same dict for
-    several links shares one (fwd, inv) pair between their transitions; the
-    inverse is computed once per distinct dict.
+    once per vertex some word reaches, in declaration order. ``crossing(s)``
+    gives the forward dict across edge s, from fiber values over its A end
+    to fiber values over its B end; it is called once per edge some link
+    crosses, in edge order. It may omit values whose image falls outside the
+    window (the transition is then partial there) and is not trimmed to the
+    fibers, so validation rejects stray keys or images. Each edge gets one
+    ``(fwd, inv)`` pair, shared by every link across it.
     """
     tree = word_tree(span, bound)
     size = tree.size(bound)
-    fibers = {v: tuple(fiber_for(v)) for v in tree.link_groups(size)[0]}
-    fwds = list(map(crossing, tree.last_edge[1:size], tree.links[0]))
-    # one pair per distinct dict; every fwd stays referenced by fwds
-    keys = list(map(id, fwds))
-    pairs = {key: (fwd, dict(zip(fwd.values(), fwd))) for key, fwd in dict(zip(keys, fwds)).items()}
-    transitions = [None, *map(pairs.__getitem__, keys)]
+    reached, groups = tree.link_groups(size)
+    fibers = {v: tuple(fiber_for(v)) for v in reached}
+    pairs = [None] * len(span.edges)
+    for s, _ends, _nodes in groups:
+        fwd = crossing(s)
+        pairs[s] = fwd, dict(zip(fwd.values(), fwd))
+    transitions = [None, *map(pairs.__getitem__, tree.last_edge[1:size])]
     return DescentFamily(span, bound, fibers, transitions)
 
 
 def trivial_family(span, bound):
     """Every fiber a singleton; the fold has exactly one section."""
     same = {0: 0}
-    return build_family(span, bound, lambda v: (0,), lambda s, x: same)
+    return build_family(span, bound, lambda v: (0,), lambda s: same)
 
 
 def parity_family(span, bound, edge):
     """Fibers {0, 1}; crossing the counted edge swaps, everything else fixes."""
     same, swap = {0: 0, 1: 1}, {0: 1, 1: 0}
-    return build_family(span, bound, lambda v: (0, 1), lambda s, x: swap if s == edge else same)
+    return build_family(span, bound, lambda v: (0, 1), lambda s: swap if s == edge else same)
 
 
 def winding_family(span, bound, edge):
@@ -137,23 +147,27 @@ def winding_family(span, bound, edge):
     same = {x: x for x in window}
     shift = {x: x + 1 for x in window if x + 1 <= bound}
     return build_family(
-        span, bound, lambda v: tuple(window), lambda s, x: shift if s == edge else same
+        span, bound, lambda v: tuple(window), lambda s: shift if s == edge else same
     )
 
 
 def random_family(span, bound, rng):
-    """A uniform-size family with an independent random bijection per transition.
+    """A uniform-size family with an independent random bijection per link.
 
-    Each link makes the ``getrandbits`` calls of ``rng.sample(range(size),
-    size)``, read as one mixed-radix draw code; links drawing one code share
-    its dict, built on the code's first draw.
+    The one family defined per link rather than per edge, so it builds its
+    transition list itself instead of through build_family. Each link, in
+    node order, makes the ``getrandbits`` calls of ``rng.sample(range(n),
+    n)``, read as one mixed-radix draw code; links drawing one code share
+    its ``(fwd, inv)`` pair, built on the code's first draw.
     """
-    size = rng.randint(1, 4)
-    bits, widths, perms = rng.getrandbits, [(m, m.bit_length()) for m in range(size, 0, -1)], {}
-
-    def crossing(s, x):
-        # the draws of rng.sample(range(size), size) on CPython 3.10-3.13: _randbelow(m) for
-        # m = size..1, getrandbits(m.bit_length()) until below m, each draw j one digit of the
+    n = rng.randint(1, 4)
+    tree = word_tree(span, bound)
+    size = tree.size(bound)
+    bits, widths, pairs = rng.getrandbits, [(m, m.bit_length()) for m in range(n, 0, -1)], {}
+    transitions = [None]
+    for _ in range(1, size):
+        # the draws of rng.sample(range(n), n) on CPython 3.10-3.13: _randbelow(m) for
+        # m = n..1, getrandbits(m.bit_length()) until below m, each draw j one digit of the
         # code; test_random_family_draws_are_the_reference_draws draws through sample
         code = 0
         for m, k in widths:
@@ -161,16 +175,16 @@ def random_family(span, bound, rng):
             while j >= m:
                 j = bits(k)
             code = code * m + j
-        perm = perms.get(code)
-        if perm is None:  # its first draw: replay sample's picks, the digit of radix m weighing (m - 1)!
-            perm, pool, rest = {}, list(range(size)), code
-            for i, m in enumerate(range(size, 0, -1)):
+        pair = pairs.get(code)
+        if pair is None:  # its first draw: replay sample's picks, the digit of radix m weighing (m - 1)!
+            perm, pool, rest = {}, list(range(n)), code
+            for i, m in enumerate(range(n, 0, -1)):
                 j, rest = divmod(rest, factorial(m - 1))
                 perm[i], pool[j] = pool[j], pool[m - 1]
-            perms[code] = perm
-        return perm
-
-    return build_family(span, bound, lambda v: tuple(range(size)), crossing)
+            pairs[code] = pair = perm, dict(zip(perm.values(), perm))
+        transitions.append(pair)
+    fibers = dict.fromkeys(tree.link_groups(size)[0], tuple(range(n)))
+    return DescentFamily(span, bound, fibers, transitions)
 
 
 class Section(record("Section", "family values")):
@@ -292,17 +306,16 @@ def word_family(span, bound):
     The fiber over any word ending at v is the set of node ids of the reduced
     words to v within the bound, and the transition across an edge is the
     crossing of that edge, restricted to where both sides stay within the
-    window (crossing back is its exact inverse there). The crossing ignores
-    the node it starts from, so each edge's table is built once, from the
-    tree's links.
+    window (crossing back is its exact inverse there). Each edge's table is
+    read off the tree's links across it, in one ``dict(zip(...))``.
     """
     tree = word_tree(span, bound)
-    crossings = [{} for _ in span.edges]
-    for s, a, b in zip(tree.last_edge[1 : tree.size(bound)], *tree.links):
-        crossings[s][a] = b
-    return build_family(
-        span, bound, lambda v: tree.nodes_at(v, bound), lambda s, x: crossings[s]
-    )
+    a_ends, b_ends = tree.links
+    crossings = {}
+    for s, _ends, nodes in tree.link_groups(tree.size(bound))[1]:
+        at = list(map((-1).__add__, nodes))  # node x's link sits at x - 1 in the link columns
+        crossings[s] = dict(zip(map(a_ends.__getitem__, at), map(b_ends.__getitem__, at)))
+    return build_family(span, bound, lambda v: tree.nodes_at(v, bound), crossings.__getitem__)
 
 
 def encode_decode(span, bound):

@@ -127,7 +127,8 @@ class WordTree:
     ``last_edge`` (the edge of the last step, -1 at refl), ``end`` (the
     endpoint Vertex) and ``depth`` (the length) are lists indexed by id;
     ``at[v]`` lists the ids of the words ending at v in canonical order.
-    ``across[s][x]``, edge s's neighbour column, is ``step(x, s)``.
+    ``across[s][x]``, edge s's neighbour column, is ``step(x, s)``; the
+    columns are built on first use, at the tree's full size.
     """
 
     def __init__(self, span, bound):
@@ -145,7 +146,6 @@ class WordTree:
         self.last_edge = last = [-1]
         self.end = end = [span.base_vertex]
         self.depth = depth = [0]
-        self.across = across = [[None] for _ in range(ne)]
         start = 0
         for d in range(1, bound + 1):
             stop = len(parent)
@@ -157,12 +157,6 @@ class WordTree:
             if not parents:  # the ball stopped growing: the component is a tree
                 break
             far = to_b if d % 2 else to_a  # odd depths end on the B side
-            for column in across:
-                column += [None] * len(parents)
-            for child, x, s in zip(range(stop, stop + len(parents)), parents, edges):
-                column = across[s]
-                column[x] = child
-                column[child] = x
             parent += parents
             last += edges
             end += map(far.__getitem__, edges)
@@ -171,6 +165,21 @@ class WordTree:
         self.at = at = {v: [] for v in span.vertices()}
         for x, v in enumerate(end):
             at[v].append(x)
+
+    @cached_property
+    def across(self):
+        """The neighbour columns, built on first use: ``across[s][x]`` is ``step(x, s)``.
+
+        Each node x >= 1 and its parent are each other's neighbour across
+        x's last edge; every other entry is None.
+        """
+        n = len(self.parent)
+        across = [[None] * n for _ in self.span.edges]
+        for x, p, s in zip(range(1, n), self.parent[1:], self.last_edge[1:]):
+            column = across[s]
+            column[x] = p
+            column[p] = x
+        return across
 
     @cached_property
     def links(self):

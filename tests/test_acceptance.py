@@ -107,7 +107,7 @@ def test_criterion_5_identity_system(corpus):
             ok = ok and uniqueness_check(fam, 0, section).ok
         ok = ok and encode_decode(span, bound).ok
         # negative control: a single flipped value must be detected
-        fam = build_family(span, bound, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
+        fam = build_family(span, bound, lambda v: (0, 1), lambda s: {0: 0, 1: 1})
         section = elim_section(fam, 0)
         target = len(all_reduced_words(span, bound - 1)) - 1  # node ids are canonical ranks
         corrupted = list(section.values)

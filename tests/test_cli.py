@@ -500,6 +500,12 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_help_exits_zero_with_usage_on_stdout(capsys):
+    code, out, err = run(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -20,7 +20,7 @@ from spanpaths.idsys import (
     word_family,
 )
 from spanpaths.span import Vertex, parse_span
-from spanpaths.words import all_reduced_words, parse_word, word_endpoint
+from spanpaths.words import all_reduced_words, parse_word, word_endpoint, word_tree
 
 from test_sabotage import SABOTAGED_ROWS
 
@@ -173,15 +173,58 @@ def test_word_family_transitions_are_concatenation(circle):
             assert len(word(image)) in (len(word(value)) - 1, len(word(value)) + 1)
 
 
-def test_word_family_shares_one_pair_per_edge(theta):
-    fam = word_family(theta, 8)
-    assert len(fam.transitions) == 766  # one per node; refl has no link
-    assert fam.transitions[0] is None
-    pairs_by_edge = {}
-    for x, pair in enumerate(fam.transitions[1:], 1):
-        pairs_by_edge.setdefault(fam.tree.last_edge[x], set()).add(id(pair))
-    assert {s: len(ids) for s, ids in pairs_by_edge.items()} == {0: 1, 1: 1, 2: 1}
-    assert len({id(pair) for pair in fam.transitions[1:]}) == 3
+def recorded_families(monkeypatch):
+    # every DescentFamily built from here on, in build order
+    families, init = [], DescentFamily.__init__
+
+    def recording_init(fam, *args):
+        init(fam, *args)
+        families.append(fam)
+
+    monkeypatch.setattr(DescentFamily, "__init__", recording_init)
+    return families
+
+
+def test_word_family_shares_one_pair_per_edge(theta, monkeypatch):
+    # the families idsys_suite folds, less the random ones: trivial, parity and
+    # winding at each edge, then encode_decode's word family and the negative control
+    families = recorded_families(monkeypatch)
+    checks.idsys_suite(theta, bound=8)
+    assert len(families) == 2 * len(theta.edges) + 5
+    for fam in families[:-4] + families[-2:]:  # random0 and random1 come before the word family
+        assert len(fam.transitions) == 766  # one per node; refl has no link
+        assert fam.transitions[0] is None
+        pairs_by_edge = {}
+        for x, pair in enumerate(fam.transitions[1:], 1):
+            pairs_by_edge.setdefault(fam.tree.last_edge[x], set()).add(id(pair))
+        assert {s: len(ids) for s, ids in pairs_by_edge.items()} == {0: 1, 1: 1, 2: 1}
+        assert len({id(pair) for pair in fam.transitions[1:]}) == 3
+
+
+@pytest.mark.parametrize("name", sorted(SPANS))
+def test_build_family_calls_crossing_once_per_edge(name):
+    span, calls = SPANS[name], []
+    fam = build_family(span, 6, lambda v: (0, 1), lambda s: calls.append(s) or {0: 0, 1: 1})
+    assert calls == sorted(set(fam.tree.last_edge[1:])) == list(range(len(span.edges)))
+
+
+def test_family_validation_checks_every_link_of_an_edge_that_shares_no_one_pair(theta):
+    fam = parity_family(theta, 4, T_EDGE)
+    tree, transitions = fam.tree, list(fam.transitions)
+    nodes = [x for x in range(1, len(transitions)) if tree.last_edge[x] == T_EDGE]
+    x = nodes[len(nodes) // 2]  # the edge's first and last links keep its shared pair
+    transitions[x] = ({0: 1, 1: 1}, {1: 1})
+    a = tree.text(tree.links[0][x - 1])
+    with pytest.raises(ValueError, match=r"^transition \(t, %s\) is not bijective$" % a):
+        DescentFamily(theta, 4, fam.fibers, transitions)
+
+
+def test_folds_never_build_the_neighbour_columns(theta):
+    tree = word_tree(theta, 6)  # held, so the folds below share it
+    assert encode_decode(theta, 6).ok
+    assert all(result.ok for result in checks.idsys_suite(theta, bound=6))
+    assert word_family(theta, 6).tree is tree
+    assert "across" not in tree.__dict__
 
 
 def test_family_validation_rejects_non_bijection_among_shared_pairs(circle):
@@ -200,25 +243,33 @@ def test_family_validation_checks_each_pair_across_each_edge(span_of):
     same = {0: 0, 1: 1}
     with pytest.raises(ValueError, match=r"transition \(s1, refl\) leaves the fibers"):
         build_family(
-            span, 3, lambda v: (0,) if v == Vertex("B", 1) else (0, 1), lambda s, x: same
+            span, 3, lambda v: (0,) if v == Vertex("B", 1) else (0, 1), lambda s: same
         )
 
 
 def test_family_validation_names_the_first_failing_link_in_node_order(theta):
     # bad links across two edges: u's (node 3, >u) precedes s's (node 6, >t <s) in node
     # order although s is the lower edge, so a report in edge order would name s's
-    same = {0: 0, 1: 1}
-    bad = {(2, 0): {0: 0, 1: 2}, (0, 6): {0: 0, 1: 0}}  # keyed (edge, A-end node)
+    fam = build_family(theta, 3, lambda v: (0, 1), lambda s: {0: 0, 1: 1})
+    assert [fam.tree.text(x) for x in (3, 6)] == [">u", ">t <s"]
+    bad = {3: {0: 0, 1: 2}, 6: {0: 0, 1: 0}}  # each link's forward dict, keyed by node
+
+    def with_bad_links(*nodes):
+        transitions = list(fam.transitions)
+        for x in nodes:
+            transitions[x] = bad[x], dict(zip(bad[x].values(), bad[x]))
+        return DescentFamily(theta, 3, fam.fibers, transitions)
+
     # s's bad link alone is caught; with u's as well, u's is the one named
     with pytest.raises(ValueError, match=r"^transition \(s, >t <s\) is not bijective$"):
-        build_family(theta, 3, lambda v: (0, 1), lambda s, x: bad.get((s, x), same) if s == 0 else same)
+        with_bad_links(6)
     with pytest.raises(ValueError, match=r"^transition \(u, refl\) leaves the fibers$"):
-        build_family(theta, 3, lambda v: (0, 1), lambda s, x: bad.get((s, x), same))
+        with_bad_links(3, 6)
 
 
 def test_build_family_does_not_trim_crossings_to_the_fibers(circle):
     with pytest.raises(ValueError, match="leaves the fibers"):
-        build_family(circle, 3, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1, 2: 2})
+        build_family(circle, 3, lambda v: (0, 1), lambda s: {0: 0, 1: 1, 2: 2})
 
 
 def test_family_validation_rejects_missing_fiber(circle):
@@ -287,7 +338,7 @@ def test_random_family_draws_are_the_reference_draws(corpus, seed):
 
 
 def test_build_family_on_edgeless_span(coproduct):
-    fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s, w: {0: 0, 1: 1})
+    fam = build_family(coproduct, 6, lambda v: (0, 1), lambda s: {0: 0, 1: 1})
     assert len(fam.fibers) == 1  # only the base vertex is reached
     assert fam.transitions == [None]
     section = elim_section(fam, 1)
@@ -295,15 +346,9 @@ def test_build_family_on_edgeless_span(coproduct):
 
 
 def test_idsys_suite_families_share_one_tree(theta, monkeypatch):
-    trees = []
-    init = DescentFamily.__init__
-
-    def recording_init(fam, *args):
-        init(fam, *args)
-        trees.append(fam.tree)
-
-    monkeypatch.setattr(DescentFamily, "__init__", recording_init)
+    families = recorded_families(monkeypatch)
     assert all(result.ok for result in checks.idsys_suite(theta, bound=5))
+    trees = [fam.tree for fam in families]
     assert len(trees) == 2 * len(theta.edges) + 5
     assert all(tree is trees[0] for tree in trees)
 

@@ -34,6 +34,19 @@ _collapsed_inclusions = edited(
 )
 
 
+def merged_forward_images(build):
+    # stage 2's stored forward bridge over edge 0 sends its class 1 where class 0 goes
+    def sabotaged(span, n):
+        stages = build(span, n)
+        glue_a = stages[2].glue_a
+        bridge = list(glue_a[0])
+        bridge[1] = bridge[0]
+        stages[2] = stages[2]._replace(glue_a=(tuple(bridge), *glue_a[1:]))
+        return stages
+
+    return sabotaged
+
+
 def raise_value_error(produce):
     def sabotaged(*args):
         raise ValueError("no zigzag")
@@ -111,8 +124,10 @@ SABOTAGE = {
         {"stages.word-bijection", "stages.colimit-agreement"},
     ),
     "stages.incl-injective": (
+        # stage 1's inclusions have at most one class: a fails at stages 2-4, then b from stage 2
         "theta", checks, "stage_diagram", _collapsed_inclusions,
         {"stages.incl-injective", "stages.colimit-agreement"},
+        "stage 4 A inclusion at a not injective; stage 2 B inclusion at b not injective",
     ),
     "stages.colimit-agreement": (
         # each cell reads the label of the cell before it
@@ -126,6 +141,15 @@ SABOTAGE = {
     "zigzag-raises": (
         "theta", checks, "zigzag_equivalence", raise_value_error,
         {"stages.zigzag-equivalence"}, "edge s: no zigzag",
+    ),
+    # the construction zigzag rejects the bridge in both suites that build it
+    "bridge-not-injective": (
+        "theta", checks, "build_stages", merged_forward_images,
+        {
+            "stages.word-bijection", "stages.colimit-agreement", "stages.zigzag-equivalence",
+            "seqcolim.map-composition",
+        },
+        "edge s: right triangle fails at level 0, element 1",
     ),
     "seqcolim.union-order-determinism": (
         # skipping whichever gluing comes first makes the classes depend on the order

@@ -2,12 +2,13 @@ import hashlib
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from spanpaths import checks, oracle, stages
 from spanpaths.oracle import nbt_walks
-from spanpaths.span import FiniteSpan, Vertex, realize, serialize_span
+from spanpaths.span import FiniteSpan, Vertex, parse_span, realize, serialize_span
 from spanpaths.words import (
     WordError,
     WordTree,
@@ -28,6 +29,7 @@ from spanpaths.checks import random_unreduced_word
 from test_sabotage import SABOTAGED_ROWS
 
 S, T = 0, 1
+SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
 
 
 def test_reduce_single_cancellation(circle):
@@ -411,6 +413,19 @@ def test_tree_columns_and_text_agree_with_step_and_format_word(corpus, name):
         for s in range(len(span.edges)):
             across = tree.parent[x] if tree.last_edge[x] == s else children.get((x, s))
             assert tree.across[s][x] == tree.step(x, s) == across
+
+
+@pytest.mark.parametrize("path", sorted(SPAN_DIR.glob("*.span")), ids=lambda path: path.stem)
+def test_neighbour_columns_are_built_on_first_use_from_the_links(path):
+    tree = WordTree(parse_span(path.read_text()), 6)
+    assert "across" not in tree.__dict__
+    across, parent, last = tree.across, tree.parent, tree.last_edge
+    assert tree.__dict__["across"] is across and all(len(column) == len(parent) for column in across)
+    for x in range(1, len(parent)):
+        assert across[last[x]][x] == parent[x] and across[last[x]][parent[x]] == x
+    # the two entries of each link are distinct from every other link's, so
+    # this count leaves every other entry None
+    assert sum(y is not None for column in across for y in column) == 2 * (len(parent) - 1)
 
 
 def test_text_of_refl_on_an_edgeless_span(coproduct):
