@@ -122,10 +122,10 @@ def _cmd_info(args, span):
     components = 0
     while remaining:
         seed = next(v for v in graph.vertices if v in remaining)
-        comp, _ = component_of(graph, seed)
+        comp = component_of(graph, seed)
         remaining -= comp
         components += 1
-    base_component, _ = component_of(graph, span.base_vertex)
+    base_component = component_of(graph, span.base_vertex)
     rank = pi1_rank(graph, span.base_vertex)
     payload = {
         "command": "info",
@@ -148,7 +148,7 @@ def _cmd_info(args, span):
 
 def _cmd_stages(args, span):
     stages = build_stages(span, args.up_to)
-    report = stage_word_bijection(stages, args.up_to)
+    report = stage_word_bijection(stages)
     # a stage is ok only when each of its fibers was folded into a bijection
     matched = Counter(stage for stage, _v, _c, _w, ok in report.rows if ok)
     rows = []
@@ -202,7 +202,7 @@ def _cmd_reduce(args, span):
 def _cmd_limit(args, span):
     endpoint = span.lookup_vertex(args.endpoint)
     stages = build_stages(span, args.up_to)
-    report = stage_word_bijection(stages, args.up_to)
+    report = stage_word_bijection(stages)
     limit = direct_limit(stage_diagram(stages, endpoint))
     pairs = limit.representatives()
     if report.ok:

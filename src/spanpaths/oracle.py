@@ -48,7 +48,7 @@ def nbt_walks(graph, start, max_len):
 
 def pi1_rank(graph, base):
     """Rank of the free fundamental group of base's component: edges - vertices + 1."""
-    component, _tree = component_of(graph, base)
+    component = component_of(graph, base)
     edges_inside = sum(1 for u, _v in graph.edge_ends if u in component)
     return edges_inside - len(component) + 1
 

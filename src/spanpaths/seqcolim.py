@@ -162,7 +162,7 @@ class SeqMorphism(record("SeqMorphism", "source target levels")):
 
 def compose_morphisms(outer, inner):
     """Levelwise composition outer after inner."""
-    if inner.target is not outer.source and inner.target != outer.source:
+    if inner.target != outer.source:
         raise ValueError("morphisms do not compose")
     levels = tuple(
         tuple(after[x] for x in before) for after, before in zip(outer.levels, inner.levels)

@@ -245,22 +245,15 @@ def realize(span):
 
 
 def component_of(graph, v):
-    """Connected component of ``v`` and a deterministic BFS spanning tree.
-
-    Returns ``(vertices, tree_edges)``; the tree is discovered breadth first,
-    scanning incident edges in declaration order, so it is unique for a given
-    input span. A component with k vertices yields k - 1 tree edges.
-    """
+    """The set of vertices in ``v``'s connected component, found breadth first."""
     if v not in graph.incidence:
         raise ValueError("unknown vertex %r" % (v,))
     seen = {v}
-    tree = []
     queue = deque([v])
     while queue:
         u = queue.popleft()
-        for e, w in graph.incidence[u]:
+        for _e, w in graph.incidence[u]:
             if w not in seen:
                 seen.add(w)
-                tree.append(e)
                 queue.append(w)
-    return seen, tuple(tree)
+    return seen

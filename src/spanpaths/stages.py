@@ -227,10 +227,10 @@ def build_stages(span, n_max):
 def cycle_diagnostic(stages, n):
     """Independent cycles of each fiber's gluing graph at stage n.
 
-    cycles = glue edges - cells + components. Zero means the gluing graph is
-    a forest, so the stage pushout has no component-level 2-cells; the word
-    model only ever claims agreement with components, so this is reported,
-    never assumed.
+    cycles = glue edges - cells + components; zero, a forest, means the
+    pushout of sets loses no loop. The graph is bipartite between inl cells
+    and block cells, a block cell's degree is its preimage count under its
+    bridge, and correct bridges are injective, so every component is a star.
     """
     st = stages[n]
     return {v: st.glue_count(v) - len(st.class_of[v]) + st.sizes[v] for v in st.span.vertices()}
@@ -257,8 +257,8 @@ class BijectionReport(NamedTuple):
         return not self.failures
 
 
-def stage_word_bijection(stages, n):
-    """Match stage classes with reduced words, stage by stage up to n.
+def stage_word_bijection(stages):
+    """Match stage classes with reduced words, through the last stage given.
 
     Each cell is labelled with a word-tree node by folding the stage's gluing
     span through cogap_set: included cells keep their previous node, and the
@@ -266,8 +266,8 @@ def stage_word_bijection(stages, n):
     report records, per fiber, whether the class labelling is a bijection
     onto the words within its word_bound. Mismatches are reported, not
     raised; a failed fold ends the report, leaving later fibers no row. One
-    tree of bound 2n serves every stage: canonical order is length-first, so
-    each fiber's words are a prefix of its endpoint's id list.
+    tree of bound 2n, n the last stage, serves every stage: canonical order
+    is length-first, so each fiber's words are a prefix of its endpoint's id list.
 
     A successful fold is also natural in every stage map. cogap_set checks
     that the labelling is constant on each class and agrees across every
@@ -276,9 +276,7 @@ def stage_word_bijection(stages, n):
     forward bridge in a B fiber, the backward one in an A fiber) steps
     across s. So the fold fails before any square could.
     """
-    if n >= len(stages):
-        raise ValueError("the bijection needs stages 0..%d, got 0..%d" % (n, len(stages) - 1))
-    span = stages[0].span
+    span, n = stages[0].span, len(stages) - 1
     tree = word_tree(span, 2 * n)
     incidence = realize(span).incidence
     word_maps = {}

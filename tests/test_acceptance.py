@@ -72,7 +72,7 @@ def test_criterion_3_oracle_equivalence(corpus):
     for name, span in corpus.items():
         if not compare_words_walks(span, 8).ok:
             ok = False
-        if not stage_word_bijection(build_stages(span, 4), 4).ok:
+        if not stage_word_bijection(build_stages(span, 4)).ok:
             ok = False
     random_results = checks.random_span_suite(seed=2024)
     ok = ok and all(r.ok for r in random_results)
@@ -137,7 +137,7 @@ def test_criterion_7_rank_consistency(corpus):
     for name, span in corpus.items():
         graph = realize(span)
         rank = pi1_rank(graph, span.base_vertex)
-        component, _ = component_of(graph, span.base_vertex)
+        component = component_of(graph, span.base_vertex)
         edges_inside = sum(1 for u, _v in graph.edge_ends if u in component)
         ok = ok and rank == edges_inside - len(component) + 1 == expected[name]
         if rank == 0:

@@ -121,29 +121,18 @@ def test_realize_preserves_cardinalities(corpus):
 
 
 def test_component_circle(circle):
-    comp, tree = component_of(realize(circle), Vertex("A", 0))
+    comp = component_of(realize(circle), Vertex("A", 0))
     assert comp == {Vertex("A", 0), Vertex("B", 0)}
-    assert tree == (0,)  # BFS discovers b through edge s first
 
 
 def test_component_isolated(coproduct):
-    comp, tree = component_of(realize(coproduct), coproduct.base_vertex)
+    comp = component_of(realize(coproduct), coproduct.base_vertex)
     assert comp == {Vertex("A", 0)}
-    assert tree == ()
 
 
 def test_component_interval_from_b(interval):
-    comp, tree = component_of(realize(interval), Vertex("B", 0))
+    comp = component_of(realize(interval), Vertex("B", 0))
     assert comp == {Vertex("A", 0), Vertex("B", 0)}
-    assert tree == (0,)
-
-
-def test_spanning_tree_size(corpus):
-    for span in corpus.values():
-        graph = realize(span)
-        for v in graph.vertices:
-            comp, tree = component_of(graph, v)
-            assert len(tree) == len(comp) - 1
 
 
 def test_unknown_vertex_rejected(circle):

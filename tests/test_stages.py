@@ -101,7 +101,7 @@ def test_cogap_words_on_circle_stage(circle):
     stages = build_stages(circle, 1)
     st = stages[1]
     edges = circle.edges_at(Vertex("A", 0))
-    report = stage_word_bijection(stages, 1)
+    report = stage_word_bijection(stages)
     b_words = report.word_maps[(1, Vertex("B", 0))]
     blocks = [(len(b_words), st.glue_a[s]) for s in edges]
     values = [0] + [report.tree.step(x, s) for s in edges for x in b_words]
@@ -162,7 +162,7 @@ def test_glue_edges_have_backtracking_shape(circle):
 
 def test_stage_word_bijection_circle(circle):
     stages = build_stages(circle, 2)
-    report = stage_word_bijection(stages, 2)
+    report = stage_word_bijection(stages)
     assert report.ok
     b_words = report.word_maps[(2, Vertex("B", 0))]
     assert sorted(format_word(circle, report.tree.word(x)) for x in b_words) == [
@@ -174,7 +174,7 @@ def test_stage_word_bijection_circle(circle):
 
 
 def test_stage_word_bijection_interval(interval):
-    report = stage_word_bijection(build_stages(interval, 4), 4)
+    report = stage_word_bijection(build_stages(interval, 4))
     assert report.ok
     for (stage, vertex), mapping in report.word_maps.items():
         assert len(mapping) <= 1, (stage, vertex)
@@ -182,14 +182,14 @@ def test_stage_word_bijection_interval(interval):
 
 def test_stage_word_bijection_theta(theta):
     stages = build_stages(theta, 1)
-    report = stage_word_bijection(stages, 1)
+    report = stage_word_bijection(stages)
     assert report.ok
     assert len(report.word_maps[(1, Vertex("A", 0))]) == 7
 
 
 def test_stage_word_bijection_rows_match_enumeration(tree4):
     stages = build_stages(tree4, 3)
-    report = stage_word_bijection(stages, 3)
+    report = stage_word_bijection(stages)
     assert report.ok
     for stage, vertex, classes, words, matched in report.rows:
         bound = 2 * stage if vertex.side == "A" else 2 * stage - 1
@@ -216,7 +216,7 @@ def test_word_maps_are_natural_in_every_stage_map(corpus):
     # inclusions keep the word; both bridges step across their edge
     for span in corpus.values():
         stages = build_stages(span, 4)
-        report = stage_word_bijection(stages, 4)
+        report = stage_word_bijection(stages)
         assert report.ok
         words, step = report.word_maps, report.tree.step
         for v in span.vertices():
@@ -237,7 +237,7 @@ def test_word_maps_are_natural_in_every_stage_map(corpus):
 def test_colimit_agrees_with_enumeration(circle):
     depth = 3
     stages = build_stages(circle, depth)
-    report = stage_word_bijection(stages, depth)
+    report = stage_word_bijection(stages)
     for vertex, bound in ((Vertex("A", 0), 2 * depth), (Vertex("B", 0), 2 * depth - 1)):
         limit = direct_limit(stage_diagram(stages, vertex))
         labels = {}
@@ -265,7 +265,7 @@ def test_stage_word_bijection_reports_structured_counterexample(circle):
     broken = list(stages[2].glue_a[0])
     broken[0], broken[1] = broken[1], broken[0]
     stages[2] = stages[2]._replace(glue_a=(tuple(broken),) + stages[2].glue_a[1:])
-    report = stage_word_bijection(stages, 2)
+    report = stage_word_bijection(stages)
     assert not report.ok
     assert report.failures == [
         "stage 2 A fiber a: inconsistent cocone at inl cell 0, block 0: "
@@ -290,7 +290,7 @@ def test_theta_stages_to_six(theta):
         ):
             assert len(class_of) == left + len(edges) * block
             assert st.glue_count(vertex) == len(st.glue_edges(vertex)) == left * len(edges)
-    assert stage_word_bijection(stages, depth).ok
+    assert stage_word_bijection(stages).ok
 
 
 # name -> (|A|, |B|, edge ends, depth, cells built through that depth): far
@@ -352,7 +352,7 @@ def test_fold_rejects_merged_classes(theta):
     a0 = Vertex("A", 0)
     merged = tuple(max(c - 1, 0) for c in stages[2].class_of[a0])
     stages[2] = stages[2]._replace(class_of={**stages[2].class_of, a0: merged})
-    report = stage_word_bijection(stages, 2)
+    report = stage_word_bijection(stages)
     assert not report.ok
     assert report.failures == ["stage 2 A fiber a: cocone not constant on class 0"]
 
@@ -363,7 +363,7 @@ def test_fold_rejects_inconsistent_cocone(theta):
     bridge = list(stages[2].glue_b[0])
     bridge[0], bridge[1] = bridge[1], bridge[0]
     stages[2] = stages[2]._replace(glue_b=(tuple(bridge),) + stages[2].glue_b[1:])
-    report = stage_word_bijection(stages, 2)
+    report = stage_word_bijection(stages)
     assert not report.ok
     assert report.failures == [
         "stage 2 B fiber b: inconsistent cocone at inl cell 0, block 0: "
@@ -375,10 +375,6 @@ def test_fold_names_missing_words_in_text_syntax(circle, monkeypatch):
     # a fold that drops a fiber's last class leaves that class's word unmatched
     cogap = stages_module.cogap_set
     monkeypatch.setattr(stages_module, "cogap_set", lambda *args: cogap(*args)[:-1])
-    report = stage_word_bijection(build_stages(circle, 1), 1)
+    report = stage_word_bijection(build_stages(circle, 1))
     assert report.failures[0] == "stage 1 B fiber b: classes and words differ (missing ['>t'], extra [])"
 
-
-def test_stage_word_bijection_past_the_built_stages(theta):
-    with pytest.raises(ValueError, match=r"needs stages 0\.\.3, got 0\.\.2"):
-        stage_word_bijection(build_stages(theta, 2), 3)

@@ -26,8 +26,6 @@ from spanpaths.words import (
 )
 from spanpaths.checks import random_unreduced_word
 
-from test_sabotage import SABOTAGED_ROWS
-
 S, T = 0, 1
 SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
 
@@ -302,10 +300,6 @@ def test_reduce_confluence_checks_the_longest_samples(theta, monkeypatch):
     monkeypatch.setattr(checks, "_cancel_rightmost", lambda w: rightmost(w[:-1] if len(w) >= 11 else w))
     rows = {r.name: r for r in checks.word_suite(theta)}
     assert not rows["words.reduce-confluence"].ok
-
-
-def test_every_word_check_has_a_sabotage(theta):
-    assert {r.name for r in checks.word_suite(theta)} <= SABOTAGED_ROWS
 
 
 def test_parse_format_roundtrip(circle):
