@@ -28,15 +28,14 @@ descent data for pushouts (Kraus and von Raumer, LICS 2019): a fiber per
 vertex and ``crossing(s)``, called once per edge, whose forward dict every
 link across s shares as the edge's one ``(fwd, inv)`` pair (trivial, parity,
 winding, the word family). random_family, the one family defined per link,
-builds its own transition list, one pair per permutation draw code.
-Validation runs by edge over ``tree.link_groups``: containment once per
-(pair, edge), bijectivity once per pair.
+builds its own transition list, drawing each link's permutation through
+``rng.choices``. Validation reads the tree's flat columns: containment once
+per distinct (pair, edge), bijectivity once per distinct pair.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from math import factorial
+from itertools import permutations
 from operator import is_
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -54,13 +53,13 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
     the ``(fwd, inv)`` dict pair of the link between node x and its parent
     for every node x >= 1, and ``transitions[0]`` is None (refl has no
     parent). Validation enforces the transition table's length, a fiber over
-    every vertex a word reaches, and exact two-sided inverses. It runs by
-    edge, over the tree's link groups: an edge fixes both fibers, so
-    containment is checked once per distinct (pair, edge), and bijectivity,
-    which depends on the pair alone, once per distinct pair. One identity
-    pass finds an edge whose links all hold one pair; only otherwise are its
-    distinct pairs collected by id. Only a failure walks the links, in node
-    order, to name the first failing one.
+    every vertex a word reaches, and exact two-sided inverses. An edge fixes
+    both fibers, so containment is checked once per distinct (pair, edge),
+    and bijectivity, which depends on the pair alone, once per distinct
+    pair. One identity pass over the links finds a family with one pair per
+    edge; only otherwise are the distinct (pair, edge) keys collected by id
+    from the flat columns. Only a failure walks the links, in node order, to
+    name the first failing one.
     """
 
     def __init__(self, span, bound, fibers, transitions):
@@ -71,31 +70,30 @@ class DescentFamily(record("DescentFamily", "span bound fibers transitions")):
                 "transition table incomplete or overfull (missing %d, extra %d)"
                 % (max(size - len(transitions), 0), max(len(transitions) - size, 0))
             )
-        reached, groups = tree.link_groups(size)
+        reached = tree.reached(size)
         for v in reached:
             if v not in fibers:
                 raise ValueError("fiber table has no fiber over %s" % span.vertex_label(v))
+        links, last = transitions[1:], tree.last_edge[1:size]
+        per_edge = dict(zip(last, links))
+        if all(map(is_, links, map(per_edge.__getitem__, last))):
+            keys = {(id(pair), s): pair for s, pair in per_edge.items()}  # as build_family makes it
+        else:  # identity keys are stable: this family holds every keyed pair
+            keys = dict(zip(zip(map(id, links), last), links))
         # each reached vertex ends a link unless refl is the only node, so each set is read
         sets, bijective, bad = {v: set(fibers[v]) for v in reached}, {}, {}
-        for s, (a, b), nodes in groups:
-            fa, fb = sets[a], sets[b]
-            first = transitions[nodes[0]]
-            if all(map(is_, repeat(first), map(transitions.__getitem__, nodes))):
-                distinct = {id(first): first}  # the edge's one pair, as build_family makes it
-            else:
-                pairs = list(map(transitions.__getitem__, nodes))
-                # identity keys are stable: this family holds every keyed pair
-                distinct = dict(zip(map(id, pairs), pairs))
-            for key, (fwd, inv) in distinct.items():
-                if not (fa.issuperset(fwd) and fb.issuperset(fwd.values())):
-                    bad[key, s] = "leaves the fibers"
-                    continue
-                if key not in bijective:
-                    bijective[key] = len(inv) == len(fwd) and inv == dict(zip(fwd.values(), fwd))
-                if not bijective[key]:
-                    bad[key, s] = "is not bijective"
+        for (key, s), (fwd, inv) in keys.items():
+            _label, a, b = span.edges[s]
+            fa, fb = sets["A", a], sets["B", b]  # a Vertex equals its plain (side, index) tuple
+            if not (fa.issuperset(fwd) and fb.issuperset(fwd.values())):
+                bad[key, s] = "leaves the fibers"
+                continue
+            if key not in bijective:
+                bijective[key] = len(inv) == len(fwd) and inv == dict(zip(fwd.values(), fwd))
+            if not bijective[key]:
+                bad[key, s] = "is not bijective"
         if bad:
-            for x, s, a in zip(range(1, size), tree.last_edge[1:size], tree.links[0]):
+            for x, s, a in zip(range(1, size), last, tree.links[0]):
                 problem = bad.get((id(transitions[x]), s))
                 if problem:
                     raise ValueError("transition (%s, %s) %s" % (span.edge_label(s), tree.text(a), problem))
@@ -115,13 +113,12 @@ def build_family(span, bound, fiber_for, crossing):
     """
     tree = word_tree(span, bound)
     size = tree.size(bound)
-    reached, groups = tree.link_groups(size)
-    fibers = {v: tuple(fiber_for(v)) for v in reached}
-    pairs = [None] * len(span.edges)
-    for s, _ends, _nodes in groups:
+    fibers = {v: tuple(fiber_for(v)) for v in tree.reached(size)}
+    pairs, last = [None] * len(span.edges), tree.last_edge[1:size]
+    for s in sorted(set(last)):
         fwd = crossing(s)
         pairs[s] = fwd, dict(zip(fwd.values(), fwd))
-    transitions = [None, *map(pairs.__getitem__, tree.last_edge[1:size])]
+    transitions = [None, *map(pairs.__getitem__, last)]
     return DescentFamily(span, bound, fibers, transitions)
 
 
@@ -155,35 +152,18 @@ def random_family(span, bound, rng):
     """A uniform-size family with an independent random bijection per link.
 
     The one family defined per link rather than per edge, so it builds its
-    transition list itself instead of through build_family. Each link, in
-    node order, makes the ``getrandbits`` calls of ``rng.sample(range(n),
-    n)``, read as one mixed-radix draw code; links drawing one code share
-    its ``(fwd, inv)`` pair, built on the code's first draw.
+    transition list itself instead of through build_family. The fiber size
+    n is ``rng.choices(range(1, 5))[0]``; then one ``rng.choices`` call over
+    the n! ``(fwd, inv)`` pairs, in ``itertools.permutations`` order, draws
+    every link's permutation in node order, and links drawing one
+    permutation share its pair.
     """
-    n = rng.randint(1, 4)
+    n = rng.choices(range(1, 5))[0]
     tree = word_tree(span, bound)
     size = tree.size(bound)
-    bits, widths, pairs = rng.getrandbits, [(m, m.bit_length()) for m in range(n, 0, -1)], {}
-    transitions = [None]
-    for _ in range(1, size):
-        # the draws of rng.sample(range(n), n) on CPython 3.10-3.13: _randbelow(m) for
-        # m = n..1, getrandbits(m.bit_length()) until below m, each draw j one digit of the
-        # code; test_random_family_draws_are_the_reference_draws draws through sample
-        code = 0
-        for m, k in widths:
-            j = bits(k)
-            while j >= m:
-                j = bits(k)
-            code = code * m + j
-        pair = pairs.get(code)
-        if pair is None:  # its first draw: replay sample's picks, the digit of radix m weighing (m - 1)!
-            perm, pool, rest = {}, list(range(n)), code
-            for i, m in enumerate(range(n, 0, -1)):
-                j, rest = divmod(rest, factorial(m - 1))
-                perm[i], pool[j] = pool[j], pool[m - 1]
-            pairs[code] = pair = perm, dict(zip(perm.values(), perm))
-        transitions.append(pair)
-    fibers = dict.fromkeys(tree.link_groups(size)[0], tuple(range(n)))
+    pairs = [(dict(enumerate(p)), dict(zip(p, range(n)))) for p in permutations(range(n))]
+    transitions = [None, *rng.choices(pairs, k=size - 1)]
+    fibers = dict.fromkeys(tree.reached(size), tuple(range(n)))
     return DescentFamily(span, bound, fibers, transitions)
 
 
@@ -306,15 +286,13 @@ def word_family(span, bound):
     The fiber over any word ending at v is the set of node ids of the reduced
     words to v within the bound, and the transition across an edge is the
     crossing of that edge, restricted to where both sides stay within the
-    window (crossing back is its exact inverse there). Each edge's table is
-    read off the tree's links across it, in one ``dict(zip(...))``.
+    window (crossing back is its exact inverse there). The edges' tables are
+    filled in one pass over the tree's last edges and link columns.
     """
     tree = word_tree(span, bound)
-    a_ends, b_ends = tree.links
-    crossings = {}
-    for s, _ends, nodes in tree.link_groups(tree.size(bound))[1]:
-        at = list(map((-1).__add__, nodes))  # node x's link sits at x - 1 in the link columns
-        crossings[s] = dict(zip(map(a_ends.__getitem__, at), map(b_ends.__getitem__, at)))
+    crossings = [{} for _ in span.edges]
+    for s, a, b in zip(tree.last_edge[1 : tree.size(bound)], *tree.links):
+        crossings[s][a] = b
     return build_family(span, bound, lambda v: tree.nodes_at(v, bound), crossings.__getitem__)
 
 

@@ -26,12 +26,13 @@ is a block of cells read off a pushout. A fiber's inclusion is its inl
 block, ``class_of[v][:L]``; the forward bridge out of stage n over edge s is
 the block of s in the stage n + 1 B fiber, the backward bridge the block of
 s in the stage n A fiber, each kept once, as the bridge the next stage's
-gluing follows. Provenance is decoded only where it is reported
-(glue_edges). The stored bridges let the identifications be refolded
-(cogap_set) against independent data, most importantly the reduced-word
-model: stage_word_bijection labels every cell with a reduced word, as a
-node id of one words.WordTree, and checks that classes are exactly the words
-within the stage's length bound. The pushouts (build_stages) read no word.
+gluing follows. Provenance is decoded only on request (glue_edges, which
+the library itself never calls). The stored bridges let the identifications
+be refolded (cogap_set) against independent data, most importantly the
+reduced-word model: stage_word_bijection labels every cell with a reduced
+word, as a node id of one words.WordTree, and checks that classes are
+exactly the words within the stage's length bound. The pushouts
+(build_stages) read no word.
 """
 
 from __future__ import annotations

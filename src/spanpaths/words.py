@@ -141,7 +141,6 @@ class WordTree:
                   for ends in (to_b, to_a)]
         onward[1].append(span.edges_at(span.base_vertex))
         self.span, self.bound = span, bound
-        self._ends, self._groups = list(zip(to_a, to_b)), {}  # for link_groups, which it keeps by size
         self.parent = parent = [-1]
         self.last_edge = last = [-1]
         self.end = end = [span.base_vertex]
@@ -195,22 +194,9 @@ class WordTree:
             b_ends += ends[d % 2]
         return a_ends, b_ends
 
-    def link_groups(self, size):
-        """``(reached, groups)`` for the nodes below ``size``, built once per size.
-
-        ``reached`` lists the vertices they end at, in declaration order;
-        ``groups`` holds ``(s, (A end, B end), nodes)`` per edge s with a link
-        below size, ``nodes`` the x < size whose last edge is s in node order.
-        """
-        if size not in self._groups:
-            nodes = [[] for _ in self.span.edges]
-            for x, s in zip(range(1, size), self.last_edge[1:size]):
-                nodes[s].append(x)
-            self._groups[size] = (
-                [v for v, ids in self.at.items() if ids and ids[0] < size],
-                [(s, self._ends[s], xs) for s, xs in enumerate(nodes) if xs],
-            )
-        return self._groups[size]
+    def reached(self, size):
+        """The vertices the nodes below ``size`` end at, in declaration order."""
+        return [v for v, ids in self.at.items() if ids and ids[0] < size]
 
     def size(self, bound):
         """Number of nodes of depth <= ``bound``, for any bound up to the tree's own."""

@@ -108,156 +108,18 @@ def test_limit_circle(capsys):
     assert lines[1] == "stage=0 refl"
 
 
-# sha256 of the stdout of `limit <span> --up-to 4 --endpoint <vertex>`, as text
-# and with --json, for every vertex of every bundled span: B-side and
-# unreachable endpoints included, so any change to these bytes shows here
-LIMIT_DIGESTS = {
-    ("circle", "a"): (
-        "45d31453a4861164ce9048b248dd3818e9b6661fabfae83c2577b10d6b779119",
-        "b221381e298fa42356937b00d7b1d378a3b68e8b8b0d8743fc479ebf60240473",
-    ),
-    ("circle", "b"): (
-        "4c52de5282d45202aed9f0a5b2fe45dbadb8f10961fe29b7e873b9490467d8ae",
-        "78e9fa6a9000ec1e22fdb236ccaa8e4e65fc27e24c9d8bb5a849564c0ea247b5",
-    ),
-    ("coproduct", "a0"): (
-        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
-        "9f31eae321390b127db85c3137c7026a4564d49785e8b1f18b1002dee64e3919",
-    ),
-    ("coproduct", "a1"): (
-        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
-        "9fc4770b5e54cb74e958908c060fd7685ac6f0b23c54020bd1d7cde24d2575dc",
-    ),
-    ("coproduct", "b0"): (
-        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
-        "35514aee55cc387193cadd412a77fc4e07128c11fc8cb89210c6784beb8d6f3a",
-    ),
-    ("interval", "a"): (
-        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
-        "07d7f02555c0086d1b154d97736f97cbe3f739a00b8737c2f918ed74e330ae82",
-    ),
-    ("interval", "b"): (
-        "e666cbcc59dee2688ccd5212f2fc1410637151862d472bdc2d01f485e2f74e18",
-        "35fe3b8b7bcaf89e4934ddbf81ca3bef69ce3ef04243caf71e03c53ea13ca677",
-    ),
-    ("theta", "a"): (
-        "fab702aa44f97212d7042c72cce8b364c964d4ec1cd105449ae6e38184de1c1c",
-        "a083dd26c473d70835e57640bbaa75634a7e30e0fd2b816500fa1558667f4ac0",
-    ),
-    ("theta", "b"): (
-        "9a2b88f5edb39f0a6d74706f669c9584afad68ff502e90a02eff574bd1c1d400",
-        "047da7d6fc5e229a78b5635e72a727f22a65d2699644a4a627b4c238eddb9219",
-    ),
-    ("tree4", "a1"): (
-        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
-        "98e8cdf9ab23bd2e882325a6cdc9cbb3c88817c2b0f8fba90e42d769de835be4",
-    ),
-    ("tree4", "a2"): (
-        "9cd3d87f2cee623ac4ea0c1e5f84870aaef792b334117668b70c247e8313f0f3",
-        "1a0c794bc7d8e3a52f8596ce8f2a6e5c1af14b735f7b947b5520e08785880e67",
-    ),
-    ("tree4", "b1"): (
-        "b14bf8d1105e53768449b4aec743c8aef7dc477aa40245673b03b66a96064b3a",
-        "718e202cd0ae723c9872aa4cef0dc53df4ee16ab733fc4393bcfe93695d9424b",
-    ),
-    ("tree4", "b2"): (
-        "70097e5a20bd73567fd601aba37f60e077027ab77fece39c3fff81468bcc4504",
-        "3088786522ca6efa49a6512dfef9d80ddfb996467f21c3d903021c33816e9826",
-    ),
-}
-
-
-@pytest.mark.parametrize("name, vertex", sorted(LIMIT_DIGESTS))
-def test_limit_output_is_pinned(capsys, name, vertex):
-    argv = ["limit", str(SPAN_DIR / (name + ".span")), "--up-to", "4", "--endpoint", vertex]
-    for flags, digest in zip(([], ["--json"]), LIMIT_DIGESTS[(name, vertex)]):
-        code, out, _ = run(capsys, argv + flags)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout of `stages <span> --up-to 4`, as text and with --json,
-# for every bundled span
-STAGES_DIGESTS = {
-    "circle": (
-        "8ee8e2ff145ec8d3e80cbd3e0ee9424fa9ce7fa8fad339838e305b9ec58d4f9f",
-        "9114e0122b0d442314e0bac48725ca202713d91047c18413d8b42015c4fe5a47",
-    ),
-    "coproduct": (
-        "9c5232d04456107cdb54d4a4717d0536ef47502fdf686ea26c6f86a0a642924c",
-        "c9490e17e09c0808d62791eb230dc7f5f7c184a8010e9c59258fc2a48e684681",
-    ),
-    "interval": (
-        "3d761588fc9d740d7eb8f9654d901cdd2f630b9137f2114f3e89379a8b1e08a2",
-        "46ca49dba8dbbdf222302335faec058934af692f5154c482ad46653c1ebefd8e",
-    ),
-    "theta": (
-        "1ff72df252924a152a1ebe1f9d86969b5885d0cdb56539e08917776ce48ae942",
-        "84503c1e1c3ec060b4f921d836f5f1c264667315376b0331da9e59a8a63093c9",
-    ),
-    "tree4": (
-        "249b85d84bc8c501af2c338ab52950040e2e9769d979e3ffe87f2b49f4612413",
-        "424b074fa62d6dcec4e39d134d4a893867b795d59afd2b9aa101edcbe1233950",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(STAGES_DIGESTS))
-def test_stages_output_is_pinned(capsys, name):
-    argv = ["stages", str(SPAN_DIR / (name + ".span")), "--up-to", "4"]
-    for flags, digest in zip(([], ["--json"]), STAGES_DIGESTS[name]):
-        code, out, _ = run(capsys, argv + flags)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout of `check <span> --oracle`, as text and with --json,
-# for every bundled span; the details strings carry the round-trip and item counts
-CHECK_DIGESTS = {
-    "circle": (
+# sha256 of the stdout of every pinned command, as text and with --json, keyed
+# by (span, argv) with the span file left out of argv: `limit --up-to 4` at every
+# vertex of every bundled span (B-side and unreachable endpoints included),
+# `stages --up-to 4` and `check --oracle` (whose details strings carry the
+# round-trip and item counts), and `info`, `reduce` and `enumerate --max-len 6`
+# at the basepoint and at a second endpoint, unreachable on coproduct. The
+# info, reduce and enumerate digests were recorded while --json still went
+# through json.dumps(payload, indent=2, sort_keys=True)
+PINNED_DIGESTS = {
+    ("circle", ("check", "--oracle")): (
         "7bdaaee300c99a5f67502cae6927a49d2be0087b8985fa4a7cc5fb761f5c57e4",
         "0d36e12d8276a1cf8fae8ee2fa3c7590b86b3382601da37d74e4e62fdfd79621",
-    ),
-    "coproduct": (
-        "ce85c9c15f1860302189b24d927999acd8c1f419ce619fd7a2a47d4ab0ac2dca",
-        "4a5259bcef76a1ae174536ff3a4f0212f9caf3415333e841a48660de7c918380",
-    ),
-    "interval": (
-        "2e6f5e0fb35d8900128628df903f6d0ec919346a751e1c8c0cc803cb42f1b7da",
-        "19de3a199a9aa9d1bead0919634f7e456337755566cce5cb6d21042bf5d98fd5",
-    ),
-    "theta": (
-        "d63ab0717e64fa0f3cd78f59658642b4c4d7d13343379717d3bbadb9aba44edd",
-        "c8014de81a0b6a2e60a0947f46c3c19e49e8920f751ad83505a58912beff4b6d",
-    ),
-    "tree4": (
-        "5eb4594c975e3cbd90d1f479cf10d1c03861405751c7cfd85fe2f7c6c20423f9",
-        "054c314d878a0d9cd92fd30db28db9fe1dadd6e89f227aa23cbeb6c9dced1b32",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
-def test_check_oracle_output_is_pinned(capsys, name):
-    argv = ["check", str(SPAN_DIR / (name + ".span")), "--oracle"]
-    for flags, digest in zip(([], ["--json"]), CHECK_DIGESTS[name]):
-        code, out, _ = run(capsys, argv + flags)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of the stdout of `info`, `reduce` and `enumerate --max-len 6`, as text
-# and with --json, for every bundled span, recorded while --json still went
-# through json.dumps(payload, indent=2, sort_keys=True): enumerate is pinned at
-# the basepoint and at a second endpoint, unreachable on coproduct
-OUTPUT_DIGESTS = {
-    ("circle", ("info",)): (
-        "e3249d2cf0c257dd7f6dbbd88095638429a791af254d541bb1881e1328c3d04e",
-        "73eb13a13d1911875bc9bdbdf33a6ed91ea0d22a580fc33604147ae33d3cf01f",
-    ),
-    ("circle", ("reduce", "--word", ">s <t >t <s >s")): (
-        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
-        "4803b1c148797f8fe740c76e88274d23397033977521705deb9493b6ce5300eb",
     ),
     ("circle", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
         "9ce7cbb01895ff560bfd491f81c89d6c9e9824635d7176c0f56c1e11fdcc6462",
@@ -267,13 +129,29 @@ OUTPUT_DIGESTS = {
         "85e2f9dd397fde948b6816c3119092b04cf98d4732b4cc56064872e238da8f24",
         "f5dc263f5395a4e2715f2c4e7c95e025ab6a5784796e58530d7b9c047c036066",
     ),
-    ("coproduct", ("info",)): (
-        "0f693de3e0b2122df7ce544633998c30fe1fe3435b4ecfdb310fe3cbbcfacb4c",
-        "c9a91ec04c31330d8ef1247f3e6804caac5cb16b528a2944d19eabcdcd8b5eb9",
+    ("circle", ("info",)): (
+        "e3249d2cf0c257dd7f6dbbd88095638429a791af254d541bb1881e1328c3d04e",
+        "73eb13a13d1911875bc9bdbdf33a6ed91ea0d22a580fc33604147ae33d3cf01f",
     ),
-    ("coproduct", ("reduce", "--word", "refl")): (
-        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
-        "a235d2591169f785ab2a9192890de45120b9023a317bbd1695405da421b33e9c",
+    ("circle", ("limit", "--up-to", "4", "--endpoint", "a")): (
+        "45d31453a4861164ce9048b248dd3818e9b6661fabfae83c2577b10d6b779119",
+        "b221381e298fa42356937b00d7b1d378a3b68e8b8b0d8743fc479ebf60240473",
+    ),
+    ("circle", ("limit", "--up-to", "4", "--endpoint", "b")): (
+        "4c52de5282d45202aed9f0a5b2fe45dbadb8f10961fe29b7e873b9490467d8ae",
+        "78e9fa6a9000ec1e22fdb236ccaa8e4e65fc27e24c9d8bb5a849564c0ea247b5",
+    ),
+    ("circle", ("reduce", "--word", ">s <t >t <s >s")): (
+        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
+        "4803b1c148797f8fe740c76e88274d23397033977521705deb9493b6ce5300eb",
+    ),
+    ("circle", ("stages", "--up-to", "4")): (
+        "8ee8e2ff145ec8d3e80cbd3e0ee9424fa9ce7fa8fad339838e305b9ec58d4f9f",
+        "9114e0122b0d442314e0bac48725ca202713d91047c18413d8b42015c4fe5a47",
+    ),
+    ("coproduct", ("check", "--oracle")): (
+        "ce85c9c15f1860302189b24d927999acd8c1f419ce619fd7a2a47d4ab0ac2dca",
+        "4a5259bcef76a1ae174536ff3a4f0212f9caf3415333e841a48660de7c918380",
     ),
     ("coproduct", ("enumerate", "--endpoint", "a0", "--max-len", "6")): (
         "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
@@ -283,13 +161,33 @@ OUTPUT_DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3bfa73b8ee42779548d72e552c05e3d2fbf9d96d917a1cb1d97a691a926b5ae7",
     ),
-    ("interval", ("info",)): (
-        "c4f197b274a97e7d1c38d4006ffecf99352106681feee7690f1b99f14f4567b8",
-        "e0f3cbf3d07de2c9c57bf0a853b916c12af477e2151bc26d4b8e98355ee22856",
+    ("coproduct", ("info",)): (
+        "0f693de3e0b2122df7ce544633998c30fe1fe3435b4ecfdb310fe3cbbcfacb4c",
+        "c9a91ec04c31330d8ef1247f3e6804caac5cb16b528a2944d19eabcdcd8b5eb9",
     ),
-    ("interval", ("reduce", "--word", ">s <s >s")): (
-        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
-        "9404e8d510b675d52f15ba31867023d681a887172e00ca092f23e647c4a8fb1a",
+    ("coproduct", ("limit", "--up-to", "4", "--endpoint", "a0")): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "9f31eae321390b127db85c3137c7026a4564d49785e8b1f18b1002dee64e3919",
+    ),
+    ("coproduct", ("limit", "--up-to", "4", "--endpoint", "a1")): (
+        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
+        "9fc4770b5e54cb74e958908c060fd7685ac6f0b23c54020bd1d7cde24d2575dc",
+    ),
+    ("coproduct", ("limit", "--up-to", "4", "--endpoint", "b0")): (
+        "3ec0caeadd389725ad0550ab147dd349363ed7dc2196ea8aaa1875b1e9363166",
+        "35514aee55cc387193cadd412a77fc4e07128c11fc8cb89210c6784beb8d6f3a",
+    ),
+    ("coproduct", ("reduce", "--word", "refl")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "a235d2591169f785ab2a9192890de45120b9023a317bbd1695405da421b33e9c",
+    ),
+    ("coproduct", ("stages", "--up-to", "4")): (
+        "9c5232d04456107cdb54d4a4717d0536ef47502fdf686ea26c6f86a0a642924c",
+        "c9490e17e09c0808d62791eb230dc7f5f7c184a8010e9c59258fc2a48e684681",
+    ),
+    ("interval", ("check", "--oracle")): (
+        "2e6f5e0fb35d8900128628df903f6d0ec919346a751e1c8c0cc803cb42f1b7da",
+        "19de3a199a9aa9d1bead0919634f7e456337755566cce5cb6d21042bf5d98fd5",
     ),
     ("interval", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
         "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
@@ -299,13 +197,29 @@ OUTPUT_DIGESTS = {
         "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
         "efe51d7fa65ab3691a54f6a0d17099e198b6ab5d1d3c856f87c8032cedebd7b1",
     ),
-    ("theta", ("info",)): (
-        "45426086a61bc11a14e2393acde5bf5078af7319cddb6236a12cb39158237ce3",
-        "14baac11530d7b7071ea1c0f2a60c1d1d87541ae3b0248a845758810317bbffd",
+    ("interval", ("info",)): (
+        "c4f197b274a97e7d1c38d4006ffecf99352106681feee7690f1b99f14f4567b8",
+        "e0f3cbf3d07de2c9c57bf0a853b916c12af477e2151bc26d4b8e98355ee22856",
     ),
-    ("theta", ("reduce", "--word", ">s <t >u <u >t <s")): (
-        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
-        "542846663cf3f9086867194d8512095de569d439a776b2841dea0e2935720ff7",
+    ("interval", ("limit", "--up-to", "4", "--endpoint", "a")): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "07d7f02555c0086d1b154d97736f97cbe3f739a00b8737c2f918ed74e330ae82",
+    ),
+    ("interval", ("limit", "--up-to", "4", "--endpoint", "b")): (
+        "e666cbcc59dee2688ccd5212f2fc1410637151862d472bdc2d01f485e2f74e18",
+        "35fe3b8b7bcaf89e4934ddbf81ca3bef69ce3ef04243caf71e03c53ea13ca677",
+    ),
+    ("interval", ("reduce", "--word", ">s <s >s")): (
+        "d4bb8e3a573033c4c01dd506b71bb21854cefb1e7108b489a046f052bbf61c39",
+        "9404e8d510b675d52f15ba31867023d681a887172e00ca092f23e647c4a8fb1a",
+    ),
+    ("interval", ("stages", "--up-to", "4")): (
+        "3d761588fc9d740d7eb8f9654d901cdd2f630b9137f2114f3e89379a8b1e08a2",
+        "46ca49dba8dbbdf222302335faec058934af692f5154c482ad46653c1ebefd8e",
+    ),
+    ("theta", ("check", "--oracle")): (
+        "d63ab0717e64fa0f3cd78f59658642b4c4d7d13343379717d3bbadb9aba44edd",
+        "c8014de81a0b6a2e60a0947f46c3c19e49e8920f751ad83505a58912beff4b6d",
     ),
     ("theta", ("enumerate", "--endpoint", "a", "--max-len", "6")): (
         "b97b98af9f38a905ee33d5fae60d41baa08fdd878c5a6c59e46f1b19fee528c2",
@@ -315,13 +229,29 @@ OUTPUT_DIGESTS = {
         "3db6c910445bb3906d91cda8911063c453300743622648252e01b57205e84340",
         "c19efbd345d0a4379fb0580cf510948246b7fa2e858d62ae88ca017c6883078f",
     ),
-    ("tree4", ("info",)): (
-        "7f47d3463d535cbf3a808ea65728609a64783658b6af7fd3385049e2d3825b17",
-        "fa948afcde8018a081d973d18a635d07bd26bd029d109bfa112ad619ed7c59ed",
+    ("theta", ("info",)): (
+        "45426086a61bc11a14e2393acde5bf5078af7319cddb6236a12cb39158237ce3",
+        "14baac11530d7b7071ea1c0f2a60c1d1d87541ae3b0248a845758810317bbffd",
     ),
-    ("tree4", ("reduce", "--word", ">s1 <s3 >s3 <s1 >s2")): (
-        "c9e90415a27295baba95c31c44f8642f8236dd4382b8c1bf3769fea76f201600",
-        "9e7e61a4cdf0d4d5f6e6a2ca02be4122e39c34ec48af814aad569146def09f6d",
+    ("theta", ("limit", "--up-to", "4", "--endpoint", "a")): (
+        "fab702aa44f97212d7042c72cce8b364c964d4ec1cd105449ae6e38184de1c1c",
+        "a083dd26c473d70835e57640bbaa75634a7e30e0fd2b816500fa1558667f4ac0",
+    ),
+    ("theta", ("limit", "--up-to", "4", "--endpoint", "b")): (
+        "9a2b88f5edb39f0a6d74706f669c9584afad68ff502e90a02eff574bd1c1d400",
+        "047da7d6fc5e229a78b5635e72a727f22a65d2699644a4a627b4c238eddb9219",
+    ),
+    ("theta", ("reduce", "--word", ">s <t >u <u >t <s")): (
+        "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
+        "542846663cf3f9086867194d8512095de569d439a776b2841dea0e2935720ff7",
+    ),
+    ("theta", ("stages", "--up-to", "4")): (
+        "1ff72df252924a152a1ebe1f9d86969b5885d0cdb56539e08917776ce48ae942",
+        "84503c1e1c3ec060b4f921d836f5f1c264667315376b0331da9e59a8a63093c9",
+    ),
+    ("tree4", ("check", "--oracle")): (
+        "5eb4594c975e3cbd90d1f479cf10d1c03861405751c7cfd85fe2f7c6c20423f9",
+        "054c314d878a0d9cd92fd30db28db9fe1dadd6e89f227aa23cbeb6c9dced1b32",
     ),
     ("tree4", ("enumerate", "--endpoint", "a1", "--max-len", "6")): (
         "1b5ef8617130bb70b21f5f761cf819fc578d64e30a523fa057b64d25aa8a11e8",
@@ -331,16 +261,68 @@ OUTPUT_DIGESTS = {
         "c9e90415a27295baba95c31c44f8642f8236dd4382b8c1bf3769fea76f201600",
         "4de1328ee2986f3c77a8ffe4499835e762c66800f31fc3cdd427051101b86fc8",
     ),
+    ("tree4", ("info",)): (
+        "7f47d3463d535cbf3a808ea65728609a64783658b6af7fd3385049e2d3825b17",
+        "fa948afcde8018a081d973d18a635d07bd26bd029d109bfa112ad619ed7c59ed",
+    ),
+    ("tree4", ("limit", "--up-to", "4", "--endpoint", "a1")): (
+        "ec95ec5eb9e74189933f154b8b4f5d58681c8c992e5184e74e801e8904cf4e77",
+        "98e8cdf9ab23bd2e882325a6cdc9cbb3c88817c2b0f8fba90e42d769de835be4",
+    ),
+    ("tree4", ("limit", "--up-to", "4", "--endpoint", "a2")): (
+        "9cd3d87f2cee623ac4ea0c1e5f84870aaef792b334117668b70c247e8313f0f3",
+        "1a0c794bc7d8e3a52f8596ce8f2a6e5c1af14b735f7b947b5520e08785880e67",
+    ),
+    ("tree4", ("limit", "--up-to", "4", "--endpoint", "b1")): (
+        "b14bf8d1105e53768449b4aec743c8aef7dc477aa40245673b03b66a96064b3a",
+        "718e202cd0ae723c9872aa4cef0dc53df4ee16ab733fc4393bcfe93695d9424b",
+    ),
+    ("tree4", ("limit", "--up-to", "4", "--endpoint", "b2")): (
+        "70097e5a20bd73567fd601aba37f60e077027ab77fece39c3fff81468bcc4504",
+        "3088786522ca6efa49a6512dfef9d80ddfb996467f21c3d903021c33816e9826",
+    ),
+    ("tree4", ("reduce", "--word", ">s1 <s3 >s3 <s1 >s2")): (
+        "c9e90415a27295baba95c31c44f8642f8236dd4382b8c1bf3769fea76f201600",
+        "9e7e61a4cdf0d4d5f6e6a2ca02be4122e39c34ec48af814aad569146def09f6d",
+    ),
+    ("tree4", ("stages", "--up-to", "4")): (
+        "249b85d84bc8c501af2c338ab52950040e2e9769d979e3ffe87f2b49f4612413",
+        "424b074fa62d6dcec4e39d134d4a893867b795d59afd2b9aa101edcbe1233950",
+    ),
 }
 
 
-@pytest.mark.parametrize("name, args", sorted(OUTPUT_DIGESTS))
-def test_info_reduce_enumerate_output_is_pinned(capsys, name, args):
+def assert_pinned(capsys, name, args):
     argv = [args[0], str(SPAN_DIR / (name + ".span")), *args[1:]]
-    for flags, digest in zip(([], ["--json"]), OUTPUT_DIGESTS[(name, args)]):
+    for flags, digest in zip(([], ["--json"]), PINNED_DIGESTS[(name, args)]):
         code, out, _ = run(capsys, argv + flags)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def pinned(*commands):
+    return sorted(key for key in PINNED_DIGESTS if key[1][0] in commands)
+
+
+# one test per command group, so each case keeps its test id
+@pytest.mark.parametrize("name, vertex", [(name, args[-1]) for name, args in pinned("limit")])
+def test_limit_output_is_pinned(capsys, name, vertex):
+    assert_pinned(capsys, name, ("limit", "--up-to", "4", "--endpoint", vertex))
+
+
+@pytest.mark.parametrize("name", [name for name, _args in pinned("stages")])
+def test_stages_output_is_pinned(capsys, name):
+    assert_pinned(capsys, name, ("stages", "--up-to", "4"))
+
+
+@pytest.mark.parametrize("name", [name for name, _args in pinned("check")])
+def test_check_oracle_output_is_pinned(capsys, name):
+    assert_pinned(capsys, name, ("check", "--oracle"))
+
+
+@pytest.mark.parametrize("name, args", pinned("info", "reduce", "enumerate"))
+def test_info_reduce_enumerate_output_is_pinned(capsys, name, args):
+    assert_pinned(capsys, name, args)
 
 
 def test_check_passes_on_circle(capsys):

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -319,20 +320,25 @@ def test_random_families_fold_coherently(corpus):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_random_family_draws_are_the_reference_draws(corpus, seed):
-    # random_family draws each link's permutation with getrandbits; the twin
-    # rng draws the reference permutations through rng.sample, link by link
+    # random_family draws its fiber size, then every link's permutation, through
+    # rng.choices; the twin rng makes the same two choices calls over plain tuples
     sizes = set()
     for span in corpus.values():
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(6):
             fam = random_family(span, 5, ours)
-            size = ref.randint(1, 4)
-            sizes.add(size)
-            assert fam.fibers[span.base_vertex] == tuple(range(size))
-            for x, (fwd, _inv) in enumerate(fam.transitions[1:], 1):
-                assert fwd == dict(enumerate(ref.sample(range(size), size))), (span, x)
+            n = ref.choices(range(1, 5))[0]
+            sizes.add(n)
+            assert fam.fibers[span.base_vertex] == tuple(range(n))
+            links = fam.transitions[1:]
+            perms = ref.choices(list(permutations(range(n))), k=len(links))
+            for x, ((fwd, inv), perm) in enumerate(zip(links, perms, strict=True), 1):
+                assert fwd == dict(enumerate(perm)), (span, x)
+                assert inv == {y: i for i, y in enumerate(perm)}, (span, x)
+            # links drawing one permutation share its pair
+            assert len(set(map(id, links))) == len(set(perms))
         assert ours.getstate() == ref.getstate()
-    assert sizes == {1, 2, 3, 4}  # size 1 included: its 1-bit draws reject half the time
+    assert sizes == {1, 2, 3, 4}
 
 
 def test_build_family_on_edgeless_span(coproduct):

@@ -82,6 +82,46 @@ def test_roundtrip_corpus(corpus):
         assert parse_span(serialize_span(span)) == span
 
 
+# the span syntax's alphabet, and lines of it between an A line and a base line,
+# which parse often enough that the round trip runs
+SYNTAX_ALPHABET = "ABSabest_0# \t\r\n"
+SYNTAX_LINES = ["A b", "B b", "B a c", "S s a b", "S t a c", "S s c b", "base a", "# S", "", "S s a"]
+
+
+def check_parse_span_on_texts(texts, max_examples):
+    # every text parses or raises SpanError, and one that parses round-trips;
+    # returns how many parsed
+    hypothesis = pytest.importorskip("hypothesis")
+    parsed = []
+
+    @hypothesis.settings(max_examples=max_examples, deadline=None)
+    @hypothesis.given(texts)
+    def check(text):
+        try:
+            span = parse_span(text)
+        except SpanError:
+            return
+        parsed.append(text)
+        assert parse_span(serialize_span(span)) == span
+
+    check()
+    return len(parsed)
+
+
+def test_parse_span_on_arbitrary_text_raises_only_span_error():
+    st = pytest.importorskip("hypothesis.strategies")
+    check_parse_span_on_texts(st.text(max_size=80), max_examples=300)
+
+
+def test_parse_span_on_syntax_alphabet_text_raises_only_span_error():
+    st = pytest.importorskip("hypothesis.strategies")
+    lines = st.lists(st.sampled_from(SYNTAX_LINES), max_size=5)
+    texts = st.text(SYNTAX_ALPHABET, max_size=60) | lines.map(
+        lambda middle: "\n".join(["A a c", *middle, "base c"])  # at most 53 characters
+    )
+    assert check_parse_span_on_texts(texts, max_examples=300) > 0  # so the round trip ran
+
+
 def test_shipped_files_match_fixture_corpus(corpus):
     for name, span in corpus.items():
         shipped = parse_span((SPAN_DIR / ("%s.span" % name)).read_text())

@@ -357,6 +357,7 @@ def test_tree_restricted_to_a_smaller_bound_is_that_tree(corpus):
             assert big.depth[:n] == small.depth
             for v in span.vertices():
                 assert big.nodes_at(v, bound) == small.at[v]
+            assert big.reached(n) == [v for v in span.vertices() if v in small.end]
             for x in range(n):
                 for s in range(len(span.edges)):
                     y = big.step(x, s)
