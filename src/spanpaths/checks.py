@@ -72,35 +72,40 @@ def _moves(graph):
     return {v: (opts, len(opts), len(opts).bit_length()) for v, opts in graph.incidence.items()}
 
 
-def _random_walk(moves, start, rng):
-    # the edges of a random walk from start, and where it stops. The draws are
-    # rng.randint(0, SAMPLE_LEN) for the length, then rng.choice(options) per
+def _random_walks(moves, start, rng, count):
+    # count random walks from start: the distinct ones, each mapped to where
+    # it stops, in first-drawn order. A walk's draws are
+    # rng.randint(0, SAMPLE_LEN) for its length, then rng.choice(options) per
     # step: on CPython 3.10-3.13 both are _randbelow(n), which draws
     # getrandbits(n.bit_length()) until the value is below n, so a single
     # option still spends its 1-bit draw and a vertex with none stops the walk
-    # without drawing. test_sampler_draws_are_the_reference_draws, which draws
-    # through randint and choice, fails if a CPython changes _randbelow.
+    # without drawing. test_sampler_draws_are_the_reference_draws and
+    # test_sampler_many_walk_draws_are_the_reference_draws, which draw through
+    # randint and choice, fail if a CPython changes _randbelow.
     bits = rng.getrandbits
-    steps = bits(_LEN_BITS)
-    while steps > SAMPLE_LEN:
+    walks = {}
+    for _ in range(count):
         steps = bits(_LEN_BITS)
-    word = []
-    at = start
-    for _ in range(steps):
-        options, n, k = moves[at]
-        if not n:
-            break
-        i = bits(k)
-        while i >= n:
+        while steps > SAMPLE_LEN:
+            steps = bits(_LEN_BITS)
+        word = []
+        at = start
+        for _ in range(steps):
+            options, n, k = moves[at]
+            if not n:
+                break
             i = bits(k)
-        s, at = options[i]
-        word.append(s)
-    return tuple(word), at
+            while i >= n:
+                i = bits(k)
+            s, at = options[i]
+            word.append(s)
+        walks[tuple(word)] = at  # a repeat keeps its first place, and stops where it did
+    return walks
 
 
 def random_unreduced_word(span, rng):
     """A structurally valid, possibly backtracking word from the basepoint."""
-    return _random_walk(_moves(realize(span)), span.base_vertex, rng)[0]
+    return next(iter(_random_walks(_moves(realize(span)), span.base_vertex, rng, 1)))
 
 
 def word_suite(span, max_len=8, seed=0):
@@ -149,14 +154,8 @@ def word_suite(span, max_len=8, seed=0):
     # words.parity test different code
     failures = []
     graph = realize(span)
-    moves = _moves(graph)
     base = span.base_vertex
-    seen = set()
-    for _ in range(SAMPLES):
-        raw, end = _random_walk(moves, base, rng)
-        if raw in seen:
-            continue
-        seen.add(raw)
+    for raw, end in _random_walks(_moves(graph), base, rng, SAMPLES).items():
         left = _cancel_pairs(raw)
         right = _cancel_rightmost(raw)
         if left != right:

@@ -108,6 +108,8 @@ def _text(value, nl):
         return _ENCODER.encode(value)
     if not value:
         return "[]"
+    if _SCALARS.issuperset(map(type, value)):  # one encoder call is the whole list's text
+        return "[" + inner + _encoder("," + inner)(value)[1:-1] + nl + "]"
     return "[" + inner + ("," + inner).join(_texts(value, inner)) + nl + "]"
 
 

@@ -89,6 +89,8 @@ class FiniteSpan(record("FiniteSpan", "a_vertices b_vertices edges basepoint")):
             incidence[Vertex("B", b)].append(s)
         self._incidence = {v: tuple(es) for v, es in incidence.items()}
         self._edge_index = edge_index
+        # parse_word's step tables: the forward and the backward token of each edge
+        self._step_tokens = tuple({c + label: s for label, s in edge_index.items()} for c in "><")
 
     def a_end(self, s):
         """A-side endpoint index of edge ``s``."""
@@ -237,7 +239,9 @@ class RealizedGraph(NamedTuple):
 def realize(span):
     """Build the RealizedGraph of a span: |V| = |A| + |B|, |E| = |S|."""
     vertices = tuple(span.vertices())
-    edge_ends = tuple((Vertex("A", a), Vertex("B", b)) for _label, a, b in span.edges)
+    na = len(span.a_vertices)
+    # the ends are the vertices' own objects, so a lookup by an end finds its key by identity
+    edge_ends = tuple((vertices[a], vertices[na + b]) for _label, a, b in span.edges)
     incidence = {
         v: tuple((s, edge_ends[s][v.side == "A"]) for s in span.edges_at(v)) for v in vertices
     }

@@ -27,7 +27,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left, bisect_right
 from functools import cached_property
-from operator import add
+from operator import add, ne
 
 from .span import Vertex
 
@@ -59,7 +59,7 @@ def validate_word(span, word):
 
 def is_reduced(word):
     """True when no two adjacent steps cross the same edge."""
-    return all(s != t for s, t in zip(word, word[1:]))
+    return all(map(ne, word, word[1:]))
 
 
 def word_endpoint(span, word):
@@ -83,16 +83,17 @@ def _cancel_pairs(word):
 
 
 def _cancel_rightmost(word):
-    # delete the rightmost adjacent inverse pair until none remains
-    steps = list(word)
-    while True:
-        for i in range(len(steps) - 2, -1, -1):
-            if steps[i] == steps[i + 1]:
-                del steps[i : i + 2]
-                break
+    # delete the rightmost adjacent inverse pair until none remains, in one
+    # right-to-left pass: the stack holds the reduced rest of the word, so the
+    # step read next meets the rightmost pair's left end, and the pairs go in
+    # the order a rescan for the rightmost pair would delete them
+    out = []
+    for s in reversed(word):
+        if out and out[-1] == s:
+            out.pop()
         else:
-            break
-    return tuple(steps)
+            out.append(s)
+    return tuple(reversed(out))
 
 
 def reduce_word(span, word):
@@ -320,13 +321,33 @@ def parse_word(span, text):
     """Parse word syntax (``refl`` or e.g. ``>s <t >s``) into an edge tuple.
 
     Accepts unreduced words; alternation (stated only in the text, so checked
-    here) and endpoint matching are enforced.
+    here) and endpoint matching are enforced. Even tokens are looked up among
+    the forward steps and odd ones among the backward steps, so a token in
+    the wrong direction misses like an unknown one.
     """
     tokens = text.split()
     if not tokens:
         raise WordError("empty word text (use 'refl')")
     if tokens == ["refl"]:
         return ()
+    forward, backward = span._step_tokens
+    steps = tokens[:]
+    try:
+        steps[::2] = map(forward.__getitem__, tokens[::2])
+        steps[1::2] = map(backward.__getitem__, tokens[1::2])
+    except KeyError:
+        steps = None  # the fault is raised outside this handler, so no KeyError chains to it
+    if steps is None:
+        _raise_token_error(span, tokens)
+    word = tuple(steps)
+    validate_word(span, word)
+    return word
+
+
+def _raise_token_error(span, tokens):
+    # the first fault of tokens that do not all read as alternating steps:
+    # every token's shape and label first, then an earlier bad step, then the
+    # first step in the wrong direction
     steps = []
     for tok in tokens:
         if len(tok) < 2 or tok[0] not in "><":
@@ -336,12 +357,9 @@ def parse_word(span, text):
         if s is None:
             raise WordError("unknown edge label %r" % (label,))
         steps.append(s)
-    word = tuple(steps)
-    wrong = [i for i, tok in enumerate(tokens) if (tok[0] == ">") != (i % 2 == 0)]
-    validate_word(span, word[: wrong[0]] if wrong else word)  # an earlier bad step comes first
-    if wrong:
-        raise WordError("step %d: directions must alternate starting forward" % (wrong[0],))
-    return word
+    wrong = next(i for i, tok in enumerate(tokens) if (tok[0] == ">") != (i % 2 == 0))
+    validate_word(span, tuple(steps[:wrong]))
+    raise WordError("step %d: directions must alternate starting forward" % (wrong,))
 
 
 def format_word(span, word):

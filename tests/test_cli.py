@@ -578,6 +578,16 @@ def test_json_writer_equals_indented_json_dumps(value):
     assert cli.dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+def test_json_writer_equals_indented_json_dumps_on_a_long_flat_list(capsys):
+    # the 8 191 words are one flat list of strings, which the writer encodes in one call
+    theta = str(SPAN_DIR / "theta.span")
+    code, out, _ = run(capsys, ["enumerate", theta, "--endpoint", "a", "--max-len", "12", "--json"])
+    payload = json.loads(out)
+    assert code == 0 and len(payload["words"]) == 8191
+    assert cli.dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert out == cli.dumps(payload) + "\n"
+
+
 def test_json_writer_equals_indented_json_dumps_on_arbitrary_values():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

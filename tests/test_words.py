@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import time
 from collections import Counter
@@ -11,6 +12,7 @@ from spanpaths.oracle import nbt_walks
 from spanpaths.span import FiniteSpan, Vertex, parse_span, realize, serialize_span
 from spanpaths.words import (
     WordError,
+    _cancel_rightmost,
     WordTree,
     all_reduced_words,
     count_words,
@@ -202,17 +204,55 @@ def reference_unreduced_word(span, rng, max_len=12):
     return tuple(word)
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_sampler_draws_are_the_reference_draws(corpus, span_of, seed):
+def sampler_spans(corpus, span_of):
     draw = random.Random(3)
     spans = list(corpus.values()) + [checks.random_span(draw) for _ in range(3)]
     # 17 loops at one vertex of each side: 5-bit draws, 15 of the 32 values rejected
     spans.append(span_of(1, 1, [(0, 0)] * 17))
-    for span in spans:
+    return spans
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampler_draws_are_the_reference_draws(corpus, span_of, seed):
+    for span in sampler_spans(corpus, span_of):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(1000):
             assert random_unreduced_word(span, ours) == reference_unreduced_word(span, ref)
         assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampler_many_walk_draws_are_the_reference_draws(corpus, span_of, seed):
+    # one call draws the suite's 1000 walks: the distinct reference draws in
+    # first-drawn order, each mapped to its endpoint, leaving the same state
+    for span in sampler_spans(corpus, span_of):
+        ours, ref = random.Random(seed), random.Random(seed)
+        walks = checks._random_walks(checks._moves(realize(span)), span.base_vertex, ours, 1000)
+        drawn = dict.fromkeys(reference_unreduced_word(span, ref) for _ in range(1000))
+        assert list(walks) == list(drawn)
+        assert list(walks.values()) == [word_endpoint(span, w) for w in drawn]
+        assert ours.getstate() == ref.getstate()
+
+
+def rescanning_rightmost(word):
+    # the rightmost strategy as first written: rescan for the rightmost
+    # adjacent pair of one edge after every deletion
+    steps = list(word)
+    while True:
+        for i in range(len(steps) - 2, -1, -1):
+            if steps[i] == steps[i + 1]:
+                del steps[i : i + 2]
+                break
+        else:
+            break
+    return tuple(steps)
+
+
+def test_one_pass_rightmost_reducer_equals_the_rescanning_one():
+    words = [w for n in range(9) for w in itertools.product(range(3), repeat=n)]
+    assert len(words) == 9841
+    for word in words:
+        assert _cancel_rightmost(word) == rescanning_rightmost(word)
 
 
 # sha256 of serialize_span over five draws of checks.random_span(Random(seed))
@@ -325,6 +365,38 @@ def test_parse_accepts_unreduced(circle):
 def test_parse_word_errors(circle, text, message):
     with pytest.raises(WordError, match=message):
         parse_word(circle, text)
+
+
+# each message as the token-by-token parser gave it, before the step tables
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("circle", ">", "bad step token '>' (expected >edge or <edge)"),
+        ("circle", ">s <", "bad step token '<' (expected >edge or <edge)"),
+        ("circle", "refl refl", "bad step token 'refl' (expected >edge or <edge)"),
+        ("circle", "s <t", "bad step token 's' (expected >edge or <edge)"),
+        ("circle", "<>s", "unknown edge label '>s'"),
+        ("circle", "<s", "step 0: directions must alternate starting forward"),
+        ("circle", ">nope", "unknown edge label 'nope'"),
+        ("circle", ">s <nope", "unknown edge label 'nope'"),
+        ("circle", ">s <refl", "unknown edge label 'refl'"),
+        ("circle", ">s >t", "step 1: directions must alternate starting forward"),
+        # two faults: the earlier one is reported, and every label before any direction
+        ("circle", "<s >t", "step 0: directions must alternate starting forward"),
+        ("circle", ">x <y", "unknown edge label 'x'"),
+        ("circle", ">s >t <nope", "unknown edge label 'nope'"),
+        ("tree4", ">s1 <s2 >s3 >s1", "step 1: edge 's2' does not end at b1"),
+        # well-formed texts whose steps do not chain: validate_word's messages
+        ("tree4", ">s1 <s2", "step 1: edge 's2' does not end at b1"),
+        ("tree4", ">s3", "step 0: edge 's3' does not start at a1"),
+        ("circle", "", "empty word text (use 'refl')"),
+    ],
+)
+def test_parse_word_error_messages(corpus, name, text, message):
+    with pytest.raises(WordError) as raised:
+        parse_word(corpus[name], text)
+    assert str(raised.value) == message
+    assert raised.value.__context__ is None
 
 
 def test_all_reduced_words_negative_bound(circle):
