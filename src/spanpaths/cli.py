@@ -209,8 +209,9 @@ def _cmd_limit(args, span):
     pairs = limit.representatives()
     if report.ok:
         texts = report.tree.texts()
-        reps = [{"stage": n, "word": texts[report.word_maps[(n, endpoint)][x]]} for n, x in pairs]
-        del texts
+        word_maps = [report.word_maps[(n, endpoint)] for n in range(len(stages))]
+        reps = [{"stage": n, "word": texts[word_maps[n][x]]} for n, x in pairs]
+        del texts, word_maps
     else:
         reps = [{"stage": n} for n, _x in pairs]
     # the output needs none of the stages, the bijection or its tree: free them first

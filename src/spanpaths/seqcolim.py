@@ -117,10 +117,13 @@ class DirectLimit(NamedTuple):
         """The least ``(n, x)`` pair of each class, in class id order."""
         # ids number classes by least cell, so a class's least cell is where its id first shows
         out, stops = [], self.offsets[1:] + (len(self.class_of),)
+        append = out.append
+        count = 0
         for n, (start, stop) in enumerate(zip(self.offsets, stops)):
             for x, cls in enumerate(self.class_of[start:stop]):
-                if cls == len(out):
-                    out.append((n, x))
+                if cls == count:
+                    append((n, x))
+                    count += 1
         return out
 
 

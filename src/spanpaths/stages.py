@@ -15,9 +15,10 @@ Cells are integers. A fiber's cells are its inl block ``0..L-1``, one cell
 per previous class of the same fiber, followed by one inr block per incident
 edge, in ``edges_at`` order, each at a fixed offset; the block of edge s
 holds one cell per class at the edge's other end. The gluing identifies inl
-cell p with cell ``offset_s + bridge_s[p]``. Connected components, computed
-by seqcolim.partition (the union-find behind direct limits too), are the
-stage's classes, numbered ``0..k-1`` in order of their least cell.
+cell p with cell ``offset_s + bridge_s[p]``. Connected components are the
+stage's classes, numbered ``0..k-1`` in order of their least cell; a block
+cell joins its first preimage's class, so seqcolim.partition (the
+union-find behind direct limits too) runs on the inl block alone (pushout_pi0).
 
 A stage stores only its gluing span and its partition: one fiber table,
 ``class_of[v]`` and ``sizes[v]`` keyed by Vertex on both sides, and the
@@ -37,6 +38,7 @@ exactly the words within the stage's length bound. The pushouts
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 from .seqcolim import FinSeqDiagram, SeqZigzag, partition, shift_diagram, truncate_diagram
@@ -69,12 +71,28 @@ def pushout_pi0(left, blocks):
 
     Cells are ``0..left-1`` (the inl block), then each ``(size, bridge)`` of
     ``blocks`` in order at a fixed offset; every inl cell p is glued to cell
-    ``bridge[p]`` of every block. Returns seqcolim.partition's
-    ``(class_of, count)``: class ids number the classes by least cell.
+    ``bridge[p]`` of every block. A block cell joins its first preimage's
+    class, or takes the next fresh id if it has none; only its later
+    preimages merge inl cells, so seqcolim.partition runs on the inl block
+    alone. Returns ``(class_of, count)``, class ids numbering the classes by
+    least cell exactly as partition numbers the whole gluing.
     """
-    offsets, total = _offsets(left, blocks)
-    glue = [(0, offset, bridge) for offset, (_size, bridge) in zip(offsets, blocks)]
-    return partition(total, glue)
+    _offsets(left, blocks)
+    owners, merges = [], []
+    for size, bridge in blocks:
+        owner = [None] * size
+        for p, q in enumerate(bridge):
+            if owner[q] is None:
+                owner[q] = p
+            else:
+                merges.append((p, owner[q], (0,)))
+        owners.append(owner)
+    inl, classes = partition(left, merges)
+    fresh = itertools.count(classes)
+    class_of = list(inl)
+    for owner in owners:
+        class_of += [inl[p] if p is not None else next(fresh) for p in owner]
+    return tuple(class_of), next(fresh)  # the first id left unused is the class count
 
 
 def cogap_set(class_of, left, blocks, values):
@@ -102,11 +120,17 @@ def cogap_set(class_of, left, blocks, values):
                         % (p, i, head[p], block[q])
                     )
     out = []
-    for cell, (cls, value) in enumerate(zip(class_of, values)):
-        if cls == len(out):
-            out.append(value)
-        elif cls > len(out):
-            raise ValueError("class %d first appears out of order at cell %d" % (cls, cell))
+    append = out.append
+    count = 0
+    for cls, value in zip(class_of, values):
+        if cls == count:
+            append(value)
+            count += 1
+        elif cls > count:
+            # every earlier cell's class is below count, so this is cls's first cell
+            raise ValueError(
+                "class %d first appears out of order at cell %d" % (cls, class_of.index(cls))
+            )
         elif out[cls] != value:
             # only reachable when class_of is not the pushout of (left, blocks)
             raise ValueError("cocone not constant on class %d" % (cls,))

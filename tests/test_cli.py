@@ -9,6 +9,7 @@ import pytest
 
 from spanpaths import checks, cli
 from spanpaths import stages as stages_module
+from spanpaths.span import serialize_span
 
 SPAN_DIR = Path(__file__).resolve().parent.parent / "spans"
 CIRCLE = str(SPAN_DIR / "circle.span")
@@ -429,6 +430,50 @@ def test_every_bad_input_exits_two_with_one_error_line(capsys, tmp_path, command
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+
+
+def test_run_on_generated_span_files_exits_zero_one_or_two(capsys, tmp_path, span_of):
+    # 60 generated span files (|A|, |B| <= 3, |S| <= 4, multi-edges, the
+    # basepoint anywhere), each under one command whose vertex, word and
+    # integer arguments are drawn good or bad: the exit code is 0, 1 or 2
+    # and nothing raises or prints a traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path = tmp_path / "generated.span"
+    vertex = st.sampled_from(["a0", "a1", "a2", "b0", "b2", "s0", "refl", "x"])
+    count = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+    token = st.sampled_from([">s0", "<s0", ">s1", "<s1", ">s3", "<x", "refl", "s0"])
+    args = st.one_of(
+        st.tuples(st.just(["info"])),
+        st.tuples(st.just(["stages", "--up-to"]), count),
+        st.tuples(st.just(["limit", "--up-to"]), count, st.just("--endpoint"), vertex),
+        st.tuples(st.just(["enumerate", "--max-len"]), count, st.just("--endpoint"), vertex),
+        st.tuples(st.just(["reduce", "--word"]), st.lists(token, max_size=5).map(" ".join)),
+        st.tuples(st.just(["check", "--stages"]), count, st.just("--max-len"), count),
+    )
+
+    @st.composite
+    def spans(draw):
+        na, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        end = st.tuples(st.integers(0, na - 1), st.integers(0, nb - 1))
+        ends = draw(st.lists(end, min_size=draw(st.integers(0, 4)), max_size=4))
+        return span_of(na, nb, ends, draw(st.integers(0, na - 1)))
+
+    codes = set()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(spans(), args, st.booleans())
+    def check(span, drawn, json_mode):
+        path.write_text(serialize_span(span), encoding="utf-8")
+        (command, *options), *values = drawn
+        argv = [command, str(path), *options, *values] + ["--json"] * json_mode
+        code, _out, err = run(capsys, argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        codes.add(code)
+
+    check()
+    assert {0, 2} <= codes
 
 
 def test_library_value_error_exits_two_with_its_message(capsys, monkeypatch):

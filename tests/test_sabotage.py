@@ -11,7 +11,7 @@ from spanpaths import stages as stages_module
 from spanpaths.idsys import DescentFamily, Section
 from spanpaths.seqcolim import FinSeqDiagram, truncate_diagram
 from spanpaths.span import Vertex
-from spanpaths.words import WordTree
+from spanpaths.words import WordTree, count_words
 
 
 def edited(edit):
@@ -238,3 +238,33 @@ def test_every_check_row_has_a_sabotage(theta):
     rows = [r.name for r in checks.run_all(theta, with_oracle=True)]
     assert len(rows) == len(set(rows)) == 20
     assert set(rows) == SABOTAGED_ROWS
+
+
+def test_every_row_is_ok_on_generated_spans(span_of):
+    # the matrix's control: with nothing patched, every row passes on 30
+    # generated spans (|A|, |B| <= 4, |S| <= 6, multi-edges, the basepoint
+    # anywhere) at max_len 1-6, stage_depth 2-4 and seeds 0-3. A run builds
+    # the reduced words up to length 2 * stage_depth + 2, which grow like
+    # (degree - 1)^length, so a draw with more than 20 000 of them is discarded.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def runs(draw):
+        na, nb = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        end = st.tuples(st.integers(0, na - 1), st.integers(0, nb - 1))
+        ends = draw(st.lists(end, min_size=draw(st.integers(0, 6)), max_size=6))
+        span = span_of(na, nb, ends, draw(st.integers(0, na - 1)))
+        stage_depth = draw(st.integers(2, 4))
+        hypothesis.assume(sum(map(sum, map(dict.values, count_words(span, 2 * stage_depth + 2)))) <= 20000)
+        return span, draw(st.integers(1, 6)), stage_depth, draw(st.integers(0, 3))
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(runs())
+    def check(run):
+        span, max_len, stage_depth, seed = run
+        rows = checks.run_all(span, seed=seed, max_len=max_len, stage_depth=stage_depth, with_oracle=True)
+        assert len(rows) == 20
+        assert [(r.name, r.details) for r in rows if not r.ok] == []
+
+    check()

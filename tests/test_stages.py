@@ -4,7 +4,7 @@ import pytest
 
 from spanpaths import checks
 from spanpaths import stages as stages_module
-from spanpaths.seqcolim import direct_limit
+from spanpaths.seqcolim import direct_limit, partition
 from spanpaths.span import Vertex
 from spanpaths.stages import (
     build_stages,
@@ -43,6 +43,54 @@ def test_pushout_circle_first_a_stage(circle):
     assert (left, st.glue_count(a0), len(st.class_of[a0]) - left) == (1, 2, 4)
     assert len(st.glue_edges(a0)) == 2
     assert st.sizes[a0] == 3
+
+
+def _full_glue_pushout(left, blocks):
+    """The pushout as one union-find over every cell: each inl cell p glued to each block's bridge[p]."""
+    offsets, total = [], left
+    for size, _bridge in blocks:
+        offsets.append(total)
+        total += size
+    return partition(total, [(0, offset, bridge) for offset, (_size, bridge) in zip(offsets, blocks)])
+
+
+def test_pushout_equals_the_full_glue_union_find_on_random_spans():
+    # 2 000 arbitrary bridges: targets repeat within a block, and two blocks'
+    # repeats chain inl cells that neither block joins alone
+    rng = random.Random(30)
+    merged = chained = 0
+    for _ in range(2000):
+        left = rng.randint(0, 6)
+        blocks = []
+        for _ in range(rng.randint(0, 3)):
+            size = rng.randint(1, 7)
+            blocks.append((size, tuple(rng.randrange(size) for _ in range(left))))
+        class_of, count = pushout_pi0(left, blocks)
+        assert (class_of, count) == _full_glue_pushout(left, blocks)
+        inl_classes = len(set(class_of[:left]))
+        merged += inl_classes < left
+        chained += len(blocks) > 1 and all(
+            inl_classes < len(set(_full_glue_pushout(left, [block])[0][:left])) for block in blocks
+        )
+    assert merged > 900 and chained > 200  # 929 and 233 of the 2 000
+
+
+@pytest.mark.parametrize("name, depth", [("theta", 5), ("tree4", 5), ("circle", 5)])
+def test_pushout_equals_the_full_glue_union_find_on_every_stage_fiber(corpus, name, depth):
+    span = corpus[name]
+    stages = build_stages(span, depth)
+    for n in range(1, depth + 1):
+        st, prev = stages[n], stages[n - 1]
+        for vertex in span.vertices():
+            edges = span.edges_at(vertex)
+            if vertex.side == "A":
+                sizes = [st.sizes[Vertex("B", span.b_end(s))] for s in edges]
+            else:
+                sizes = [prev.sizes[Vertex("A", span.a_end(s))] for s in edges]
+            blocks = [(size, st.glue(vertex)[s]) for s, size in zip(edges, sizes)]
+            left = prev.sizes[vertex]
+            expected = _full_glue_pushout(left, blocks)
+            assert pushout_pi0(left, blocks) == expected == (st.class_of[vertex], st.sizes[vertex])
 
 
 def test_pushout_rejects_malformed_bridges():
@@ -92,8 +140,18 @@ def test_cogap_rejects_quotient_that_is_not_the_pushout():
     with pytest.raises(ValueError, match="not constant"):
         cogap_set((0, 0), *COPRODUCT, [0, 1])
     # the right partition, but class ids not numbered by least cell
-    with pytest.raises(ValueError, match="out of order"):
+    with pytest.raises(ValueError) as exc:
         cogap_set((1, 0), *COPRODUCT, [0, 1])
+    assert str(exc.value) == "class 1 first appears out of order at cell 0"
+
+
+def test_cogap_names_the_first_out_of_order_cell_past_cell_zero():
+    # four bridged cells, nothing glued; class 0 repeats, so the bad cell (2)
+    # is not the count of classes seen before it (1)
+    four = (0, ((4, ()),))
+    with pytest.raises(ValueError) as exc:
+        cogap_set((0, 0, 2, 1), *four, [5, 5, 6, 7])
+    assert str(exc.value) == "class 2 first appears out of order at cell 2"
 
 
 def test_cogap_words_on_circle_stage(circle):
